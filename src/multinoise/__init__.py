@@ -25,7 +25,7 @@ from .errors import (
     SingularPencilError,
     UnstabilizableError,
 )
-from .gare import GareOptions, GareSolution, gare_feasible, solve_gare, value_iteration_step
+from .gare import GareOptions, GareSolution, solve_gare
 from .margins import (
     BisectOptions,
     MarginCertificate,
@@ -45,7 +45,6 @@ from .matops import (
     PsdSplit,
     gen_eig_max,
     is_psd,
-    kron,
     psd_split,
     spectral_radius,
     symmetrize,
@@ -63,7 +62,6 @@ from .model import (
 from .problems import Problem, inverted_pendulum, load_problem, parse_problem
 from .stability import (
     GleSolution,
-    check_det_stability_from_mss,
     is_mean_square_stable,
     moment_operator,
     solve_gle,
@@ -86,13 +84,11 @@ __all__ = [
     "perturbed_matrix",
     # matops
     "PsdSplit", "symmetrize", "spectral_radius", "psd_split", "is_psd",
-    "gen_eig_max", "kron",
+    "gen_eig_max",
     # stability
     "GleSolution", "moment_operator", "is_mean_square_stable", "solve_gle",
-    "check_det_stability_from_mss",
     # gare
-    "GareOptions", "GareSolution", "value_iteration_step", "solve_gare",
-    "gare_feasible",
+    "GareOptions", "GareSolution", "solve_gare",
     # margins
     "BisectOptions", "MarginMethod", "MarginCertificate", "scalar_margin",
     "nlmi_feasible", "shared_lyapunov_margins", "single_direction_margin",

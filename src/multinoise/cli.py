@@ -96,13 +96,14 @@ def _emit(data: dict, fmt: str) -> None:
 
 
 def _apply_overrides(problem: Problem, args) -> None:
-    if args.tol is not None:
+    # a subcommand parses only the solver flags it reads
+    if getattr(args, "tol", None) is not None:
         problem.gare_options.tol_rel = args.tol
-    if args.max_iter is not None:
+    if getattr(args, "max_iter", None) is not None:
         problem.gare_options.max_iter = args.max_iter
-    if args.blowup is not None:
+    if getattr(args, "blowup", None) is not None:
         problem.gare_options.blowup = args.blowup
-    if args.bisect_tol is not None:
+    if getattr(args, "bisect_tol", None) is not None:
         problem.bisect_options.rel_tol = args.bisect_tol
 
 
@@ -116,7 +117,6 @@ def _design_opts(problem: Problem, grid_samples: int = 10_000) -> DesignOptions:
 
 def cmd_check_mss(args) -> int:
     problem = load_problem(args.problem)
-    _apply_overrides(problem, args)
     mss, radius = is_mean_square_stable(problem.system.A, problem.noise.a_dirs)
     _emit({"mss": mss, "moment_radius": radius}, args.format)
     return EXIT_OK if mss else EXIT_INFEASIBLE
@@ -355,40 +355,41 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["table", "json"],
                         default="table", help="output format")
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--tol", type=float, default=None,
-                        help="relative convergence tolerance override")
-    solver.add_argument("--max-iter", type=int, default=None,
-                        help="iteration cap override")
-    solver.add_argument("--blowup", type=float, default=None,
-                        help="divergence threshold override")
-    solver.add_argument("--bisect-tol", type=float, default=None,
+    riccati = argparse.ArgumentParser(add_help=False)
+    riccati.add_argument("--tol", type=float, default=None,
+                         help="relative convergence tolerance override")
+    riccati.add_argument("--max-iter", type=int, default=None,
+                         help="iteration cap override")
+    riccati.add_argument("--blowup", type=float, default=None,
+                         help="divergence threshold override")
+    bisect = argparse.ArgumentParser(add_help=False)
+    bisect.add_argument("--bisect-tol", type=float, default=None,
                         help="bisection relative tolerance override")
 
-    p = sub.add_parser("check-mss", parents=[common, solver],
+    p = sub.add_parser("check-mss", parents=[common],
                        help="decide mean-square stability of the open loop")
     p.add_argument("problem")
     p.set_defaults(func=cmd_check_mss)
 
-    p = sub.add_parser("solve-gare", parents=[common, solver],
+    p = sub.add_parser("solve-gare", parents=[common, riccati],
                        help="solve the noisy Riccati fixed point")
     p.add_argument("problem")
     p.set_defaults(func=cmd_solve_gare)
 
-    p = sub.add_parser("margins", parents=[common, solver],
+    p = sub.add_parser("margins", parents=[common, bisect],
                        help="compute open-loop robustness margins")
     p.add_argument("problem")
     p.add_argument("--method", required=True,
                    choices=[m.value for m in MarginMethod])
     p.set_defaults(func=cmd_margins)
 
-    p = sub.add_parser("design", parents=[common, solver],
+    p = sub.add_parser("design", parents=[common, riccati, bisect],
                        help="synthesize a robust gain")
     p.add_argument("problem")
     p.add_argument("--algo", required=True, choices=["ce", "1", "2"])
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("verify-grid", parents=[common, solver],
+    p = sub.add_parser("verify-grid", parents=[common],
                        help="grid-check a certificate")
     p.add_argument("problem")
     p.add_argument("--cert", required=True,
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid samples per direction")
     p.set_defaults(func=cmd_verify_grid)
 
-    p = sub.add_parser("simulate", parents=[common, solver],
+    p = sub.add_parser("simulate", parents=[common],
                        help="Monte Carlo second-moment simulation")
     p.add_argument("problem")
     p.add_argument("--trials", type=int, required=True)

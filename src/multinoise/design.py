@@ -190,7 +190,7 @@ def design_algorithm_1(
     a_mats, b_mats = _checked_structure(a_dir_mats, b_dir_mats, structure)
     theta, phi = structure.theta, structure.phi
 
-    cache: dict[str, GareSolution | float] = {}
+    last: GareSolution | None = None  # solution at the last feasible z
 
     def noise_at(z: float) -> NoiseModel:
         return NoiseModel(
@@ -199,19 +199,19 @@ def design_algorithm_1(
         )
 
     def feasible_z(z: float) -> bool:
+        nonlocal last
         sol = feasible_gare_solution(sys, noise_at(z), costs, opts.gare)
         if sol is not None:
-            cache["sol"] = sol
-            cache["z"] = z
+            last = sol
         return sol is not None
 
-    if not feasible_z(0.0):
+    # the bisection probes z = 0 first; no feasible probe means none at 0
+    z_star, z_cap = bisect_max_feasible(feasible_z, opts.bisect)
+    if last is None:
         raise UnstabilizableError(
             "no stabilizing gain exists even at zero noise"
         )
-    z_star, z_cap = bisect_max_feasible(feasible_z, opts.bisect)
-    sol: GareSolution = cache["sol"]  # solution at the last feasible z
-    K, P = sol.K, sol.P
+    K, P = last.K, last.P
     noise = noise_at(z_star)
     A_cl, dirs = closed_loop_substitution(sys, noise, K)
     q_term = costs.Q + K.T @ costs.R @ K
@@ -266,7 +266,7 @@ def design_algorithm_2(
     theta, phi = structure.theta, structure.phi
     w = structure.weights
 
-    cache: dict[str, GareSolution | float] = {}
+    last: GareSolution | None = None  # solution at the last feasible y
 
     def scaled_problem(y: float) -> tuple[NominalSystem, NoiseModel, float]:
         bounds = y * w
@@ -281,20 +281,20 @@ def design_algorithm_2(
         return NominalSystem(A=z * sys.A, B=z * sys.B), noise, z
 
     def feasible_y(y: float) -> bool:
-        scaled_sys, noise, z = scaled_problem(y)
+        nonlocal last
+        scaled_sys, noise, _ = scaled_problem(y)
         sol = feasible_gare_solution(scaled_sys, noise, costs, opts.gare)
         if sol is not None:
-            cache["sol"] = sol
-            cache["z"] = z
+            last = sol
         return sol is not None
 
-    if not feasible_y(0.0):
+    # the bisection probes y = 0 first; no feasible probe means none at 0
+    y_star, y_cap = bisect_max_feasible(feasible_y, opts.bisect)
+    if last is None:
         raise UnstabilizableError(
             "no stabilizing gain exists even at zero margins"
         )
-    y_star, y_cap = bisect_max_feasible(feasible_y, opts.bisect)
-    sol: GareSolution = cache["sol"]
-    K = sol.K
+    K = last.K
     _, noise, z = scaled_problem(y_star)
     box = PerturbationBox(
         eta=y_star * theta, psi=y_star * phi, bidirectional=True

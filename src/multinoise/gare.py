@@ -27,9 +27,8 @@ from .stability import is_mean_square_stable
 __all__ = [
     "GareOptions",
     "GareSolution",
-    "value_iteration_step",
     "solve_gare",
-    "gare_feasible",
+    "feasible_gare_solution",
 ]
 
 
@@ -59,54 +58,23 @@ class GareSolution:
     converged: bool
 
 
-def _input_weight(P, B, b_dirs, R) -> np.ndarray:
-    G = R + B.T @ P @ B
-    for D, b in b_dirs:
-        if b != 0.0:
-            G = G + b * (D.T @ P @ D)
-    return G
-
-
-def value_iteration_step(
-    P_t, sys: NominalSystem, noise: NoiseModel, costs: CostPair
-) -> np.ndarray:
-    """One exact step of the value recursion, symmetrized:
-
-    P_{t+1} = Q + A^T P A + sum_i alpha_i A_i^T P A_i
-              - A^T P B (R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A
-    """
-    P = symmetrize(P_t)
-    A, B = sys.A, sys.B
-    S = costs.Q + A.T @ P @ A
-    for D, a in noise.a_dirs:
-        if a != 0.0:
-            S = S + a * (D.T @ P @ D)
-    G = _input_weight(P, B, noise.b_dirs, costs.R)
-    BtPA = B.T @ P @ A
-    try:
-        X = la.solve(G, BtPA)
-    except la.LinAlgError as exc:
-        raise NumericalError(
-            f"inner input-weight matrix is singular: {exc}"
-        ) from exc
-    return symmetrize(S - BtPA.T @ X)
-
-
 def _lifted_step_operators(sys: NominalSystem, noise: NoiseModel):
-    # Precomputed lifts make each iteration a single matvec plus a small
-    # solve, which matters when bisection drives thousands of near-boundary
-    # solves.
+    # The three lifts stacked as [L; H; G], so that one matvec gives
+    # vec(A^T P A + sum_i alpha_i A_i^T P A_i), vec(B^T P A) and
+    # vec(B^T P B + sum_j beta_j B_j^T P B_j); each iteration is then one
+    # matvec plus an m x m solve, which matters when bisection drives
+    # thousands of near-boundary solves.
     A, B = sys.A, sys.B
     L = np.kron(A.T, A.T)
     for D, a in noise.a_dirs:
         if a != 0.0:
             L = L + a * np.kron(D.T, D.T)
-    H = np.kron(A.T, B.T)  # vec(B^T P A) = H @ vec(P)
+    H = np.kron(A.T, B.T)
     G = np.kron(B.T, B.T)
     for D, b in noise.b_dirs:
         if b != 0.0:
             G = G + b * np.kron(D.T, D.T)
-    return L, H, G
+    return np.vstack([L, H, G])
 
 
 def solve_gare(
@@ -115,32 +83,43 @@ def solve_gare(
     costs: CostPair,
     opts: GareOptions | None = None,
 ) -> GareSolution:
-    """Iterate the value recursion from P_0 = Q to the fixed point.
+    """Iterate the value recursion from P_0 = Q to the fixed point:
+
+    P_{t+1} = Q + A^T P A + sum_i alpha_i A_i^T P A_i
+              - A^T P B (R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A
 
     Requires Q > 0 and R > 0. On convergence the optimal gain
-    K = -(R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A is returned
-    and the closed loop is mean-square stable (checked separately by
-    :func:`gare_feasible`).
+    K = -(R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A is returned;
+    whether its closed loop is mean-square stable is checked separately by
+    :func:`feasible_gare_solution`.
     """
     if opts is None:
         opts = GareOptions()
     if la.eigvalsh(symmetrize(costs.Q))[0] <= 0:
         raise ValueError("Q must be positive definite for the value iteration")
     n, m = sys.n, sys.m
-    L, H, G = _lifted_step_operators(sys, noise)
-    qv = vec(costs.Q)
-    pv = qv.copy()
-    iterations = 0
-    while iterations < opts.max_iter:
-        BtPA = (H @ pv).reshape((m, n), order="F")
-        inner = costs.R + (G @ pv).reshape((m, m), order="F")
+    nn, mn = n * n, m * n
+    S = _lifted_step_operators(sys, noise)
+
+    def lifted_terms(pv):
+        # (vec of the state term, B^T P A, inner^-1 B^T P A) at vec(P) = pv
+        v = S @ pv
+        BtPA = v[nn:nn + mn].reshape((m, n), order="F")
+        inner = costs.R + v[nn + mn:].reshape((m, m), order="F")
         try:
             X = la.solve(inner, BtPA)
         except la.LinAlgError as exc:
             raise NumericalError(
                 f"inner input-weight matrix is singular: {exc}"
             ) from exc
-        Pn = (qv + L @ pv).reshape((n, n), order="F") - BtPA.T @ X
+        return v[:nn], BtPA, X
+
+    qv = vec(costs.Q)
+    pv = qv.copy()
+    iterations = 0
+    while iterations < opts.max_iter:
+        Lp, BtPA, X = lifted_terms(pv)
+        Pn = (qv + Lp).reshape((n, n), order="F") - BtPA.T @ X
         Pn = 0.5 * (Pn + Pn.T)
         pv_next = Pn.reshape(-1, order="F")
         diff = la.norm(pv_next - pv)
@@ -151,10 +130,8 @@ def solve_gare(
             return GareSolution(P=None, K=None, iterations=iterations,
                                 converged=False)
         if diff <= opts.tol_abs + opts.tol_rel * pnorm:
-            P = symmetrize(pv.reshape((n, n), order="F"))
-            Gm = _input_weight(P, sys.B, noise.b_dirs, costs.R)
-            K = -la.solve(Gm, sys.B.T @ P @ sys.A)
-            return GareSolution(P=P, K=K, iterations=iterations,
+            _, _, X = lifted_terms(pv)
+            return GareSolution(P=Pn, K=-X, iterations=iterations,
                                 converged=True)
     return GareSolution(P=None, K=None, iterations=iterations,
                         converged=False)
@@ -174,14 +151,3 @@ def feasible_gare_solution(
     A_cl, dirs = closed_loop_substitution(sys, noise, sol.K)
     mss, _ = is_mean_square_stable(A_cl, dirs)
     return sol if mss else None
-
-
-def gare_feasible(
-    sys: NominalSystem,
-    noise: NoiseModel,
-    costs: CostPair,
-    opts: GareOptions | None = None,
-) -> bool:
-    """True iff the value iteration converges and the resulting closed loop
-    is mean-square stable."""
-    return feasible_gare_solution(sys, noise, costs, opts) is not None

@@ -23,7 +23,6 @@ __all__ = [
     "abs_part",
     "is_psd",
     "gen_eig_max",
-    "kron",
     "vec",
     "unvec",
 ]
@@ -124,16 +123,6 @@ def gen_eig_max(lhs, rhs) -> float:
     Y = la.solve(L, lhs)
     Y = la.solve(L, Y.T).T
     return float(la.eigvalsh(symmetrize(Y))[-1])
-
-
-def kron(M, N) -> np.ndarray:
-    """Kronecker product of two square matrices.
-
-    Convention (column-major vec): vec(M^T X M) = kron(M^T, M^T) @ vec(X).
-    """
-    M = _as_square(M, "first factor")
-    N = _as_square(N, "second factor")
-    return np.kron(M, N)
 
 
 def vec(X) -> np.ndarray:

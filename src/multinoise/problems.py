@@ -69,15 +69,24 @@ class Problem:
         return self.structure
 
 
+def _numeric(value, name: str) -> np.ndarray:
+    """Float array of a field's value; NaN and inf are rejected here, so
+    that they never reach a solver as a divergence or a numerical failure."""
+    try:
+        M = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"field '{name}': not numeric ({exc})") from exc
+    if not np.all(np.isfinite(M)):
+        raise ProblemFormatError(f"field '{name}': entries must be finite")
+    return M
+
+
 def _matrix(data: dict, name: str, required: bool = True) -> np.ndarray | None:
     if name not in data:
         if required:
             raise ProblemFormatError(f"field '{name}': missing")
         return None
-    try:
-        M = np.asarray(data[name], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field '{name}': not numeric ({exc})") from exc
+    M = _numeric(data[name], name)
     if M.ndim == 0:
         M = M.reshape(1, 1)
     if M.ndim == 1:
@@ -90,10 +99,7 @@ def _matrix(data: dict, name: str, required: bool = True) -> np.ndarray | None:
 def _vector(data: dict, name: str, length: int | None = None) -> np.ndarray | None:
     if name not in data:
         return None
-    try:
-        v = np.atleast_1d(np.asarray(data[name], dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field '{name}': not numeric ({exc})") from exc
+    v = np.atleast_1d(_numeric(data[name], name))
     if v.ndim != 1:
         raise ProblemFormatError(f"field '{name}': expected a flat list")
     if length is not None and v.size != length:
@@ -109,12 +115,7 @@ def _dir_list(data: dict, name: str, var_name: str) -> list:
         raise ProblemFormatError(f"field '{name}': expected a list of matrices")
     out = []
     for i, m in enumerate(mats):
-        try:
-            M = np.asarray(m, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError(
-                f"field '{name}[{i}]': not numeric ({exc})"
-            ) from exc
+        M = _numeric(m, f"{name}[{i}]")
         if M.ndim != 2:
             raise ProblemFormatError(f"field '{name}[{i}]': expected a matrix")
         out.append(M)

@@ -24,7 +24,6 @@ __all__ = [
     "moment_operator",
     "is_mean_square_stable",
     "solve_gle",
-    "check_det_stability_from_mss",
     "MSS_MARGIN",
 ]
 
@@ -68,7 +67,11 @@ def is_mean_square_stable(A_cl, dirs: DirList) -> tuple[bool, float]:
     The state second moment converges to zero for every bounded initial
     state iff the moment-operator spectral radius is strictly below one.
     """
-    r = spectral_radius(moment_operator(A_cl, dirs))
+    return _mss_verdict(moment_operator(A_cl, dirs))
+
+
+def _mss_verdict(M) -> tuple[bool, float]:
+    r = spectral_radius(M)
     return r < 1.0 - MSS_MARGIN, r
 
 
@@ -83,7 +86,7 @@ def solve_gle(A_cl, dirs: DirList, Q) -> GleSolution:
     Q = symmetrize(Q)
     n = A_cl.shape[0]
     M = moment_operator(A_cl, dirs)
-    mss, radius = is_mean_square_stable(A_cl, dirs)
+    mss, radius = _mss_verdict(M)
     if not mss:
         return GleSolution(P=None, mss=False, moment_radius=radius)
     try:
@@ -100,24 +103,3 @@ def solve_gle(A_cl, dirs: DirList, Q) -> GleSolution:
     if not is_psd(P, tol=0.0) or la.eigvalsh(P)[0] <= 0:
         raise NumericalError("solution P is not positive definite")
     return GleSolution(P=P, mss=True, moment_radius=radius)
-
-
-def check_det_stability_from_mss(A_cl, dirs: DirList, Q=None) -> bool:
-    """True iff the instance is mean-square stable; when it is, verify the
-    implied deterministic stability rho(A_cl) < 1 as a consistency
-    self-check (mean-square stability is strictly stronger).
-    """
-    mss, _ = is_mean_square_stable(A_cl, dirs)
-    if not mss:
-        return False
-    if spectral_radius(A_cl) >= 1.0:
-        raise NumericalError(
-            "inconsistency: mean-square stable but rho(A_cl) >= 1"
-        )
-    if Q is not None:
-        sol = solve_gle(A_cl, dirs, Q)
-        if not sol.mss:
-            raise NumericalError(
-                "inconsistency: moment radius < 1 but quadratic solve failed"
-            )
-    return True

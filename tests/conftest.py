@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.linalg as la
 import pytest
 
 from multinoise import (
@@ -9,6 +10,7 @@ from multinoise import (
     inverted_pendulum,
     moment_operator,
     spectral_radius,
+    symmetrize,
 )
 
 
@@ -26,6 +28,27 @@ def random_mss_instance(rng, n, p, target_radius):
     r0 = spectral_radius(moment_operator(A0, dirs0))
     s = np.sqrt(target_radius / r0)
     return s * A0, [(D, float(s * s * a)) for D, a in dirs0]
+
+
+def direct_value_step(P_t, sys, noise, costs):
+    """One step of the value recursion in direct matrix form, symmetrized:
+
+    P_{t+1} = Q + A^T P A + sum_i alpha_i A_i^T P A_i
+              - A^T P B (R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A
+
+    An oracle for ``solve_gare``, which iterates the same map through
+    Kronecker lifts; the two share no code.
+    """
+    P = symmetrize(P_t)
+    A, B = sys.A, sys.B
+    S = costs.Q + A.T @ P @ A
+    for D, a in noise.a_dirs:
+        S = S + a * (D.T @ P @ D)
+    G = costs.R + B.T @ P @ B
+    for D, b in noise.b_dirs:
+        G = G + b * (D.T @ P @ D)
+    BtPA = B.T @ P @ A
+    return symmetrize(S - BtPA.T @ la.solve(G, BtPA))
 
 
 @pytest.fixture(scope="session")

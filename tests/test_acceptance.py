@@ -38,12 +38,11 @@ from multinoise import (
     solve_gare,
     solve_gle,
     symmetrize,
-    value_iteration_step,
 )
 from multinoise.margins import _bisect_min_feasible, _single_dir_condition
 from multinoise.matops import pos_part, unvec, vec
 
-from conftest import random_mss_instance
+from conftest import direct_value_step, random_mss_instance
 
 TIGHT_BISECT = BisectOptions(rel_tol=1e-9)
 
@@ -476,6 +475,6 @@ def test_criterion_9_gare_agreement():
         sol = solve_gare(sys_, noise, costs)
         if not sol.converged:
             continue
-        stepped = value_iteration_step(sol.P, sys_, noise, costs)
+        stepped = direct_value_step(sol.P, sys_, noise, costs)
         ok = ok and la.norm(sol.P - stepped, "fro") <= 1e-8 * la.norm(sol.P, "fro")
     assert report("criterion-9 gare-agreement", ok)

@@ -254,3 +254,48 @@ def test_solver_overrides(tmp_path, capsys):
     )
     assert code == 0
     assert out["iterations"] <= 50
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["check-mss"], "A"),
+    (["margins", "--method", "shared-uni"], "A"),
+    (["solve-gare"], "A"),
+    (["design", "--algo", "1"], "A"),
+    (["design", "--algo", "1"], "alpha"),
+    (["margins", "--method", "aux"], "alpha"),
+])
+def test_non_finite_input_exit_two(tmp_path, capsys, argv, field):
+    doc = stable_doc()
+    if field == "A":
+        doc["A"][0][0] = float("nan")
+    else:
+        doc["alpha"] = [float("inf")]
+    path = write_problem(tmp_path, doc)  # json writes NaN and Infinity
+    assert main([argv[0], path] + argv[1:]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
+def test_check_mss_rejects_solver_flags(tmp_path):
+    path = write_problem(tmp_path, stable_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(["check-mss", path, "--tol", "1e-3"])
+    assert exc.value.code == 2
+
+
+def test_design_bisect_tol_reaches_bisection(tmp_path, capsys, monkeypatch):
+    import multinoise.design as design_mod
+
+    seen = []
+    bisect = design_mod.bisect_max_feasible
+
+    def recording(feasible, opts=None):
+        seen.append(opts.rel_tol)
+        return bisect(feasible, opts)
+
+    monkeypatch.setattr(design_mod, "bisect_max_feasible", recording)
+    path = write_problem(tmp_path, stable_doc())
+    code, _ = run_json(
+        capsys, ["design", path, "--algo", "1", "--bisect-tol", "0.25"]
+    )
+    assert code == 0
+    assert seen == [0.25, 0.25]  # the variance and the margin bisections

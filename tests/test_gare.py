@@ -9,15 +9,17 @@ from multinoise import (
     NoiseModel,
     NominalSystem,
     closed_loop_substitution,
-    gare_feasible,
     is_mean_square_stable,
     solve_gare,
-    value_iteration_step,
 )
+from multinoise.gare import feasible_gare_solution
 
-from conftest import random_mss_instance
+from conftest import direct_value_step, random_mss_instance
 
 TIGHT = GareOptions(tol_abs=1e-14, tol_rel=1e-14)
+#: an infinite tolerance accepts the first iterate P_1 as converged, so
+#: solve_gare returns one lifted step from P_0 = Q
+ONE_STEP = GareOptions(tol_abs=np.inf, max_iter=1)
 
 
 def scalar_problem(a=1.0, b=1.0, q=1.0, r=1.0):
@@ -47,7 +49,11 @@ def random_controllable(rng, n, m):
 
 def test_value_iteration_step_scalar():
     sys, costs = scalar_problem()
-    P1 = value_iteration_step(np.array([[1.0]]), sys, NoiseModel(), costs)
+    # P_1 = 1 + 1 - 1 * (1 + 1)^-1 * 1 from P_0 = Q = 1
+    sol = solve_gare(sys, NoiseModel(), costs, ONE_STEP)
+    assert sol.iterations == 1
+    assert sol.P[0, 0] == pytest.approx(1.5)
+    P1 = direct_value_step(np.array([[1.0]]), sys, NoiseModel(), costs)
     assert P1[0, 0] == pytest.approx(1.5)
 
 
@@ -59,8 +65,10 @@ def test_value_iteration_step_zero_b_reduces_to_quadratic_recursion():
     noise = NoiseModel(a_dirs=[(D, 0.3)])
     costs = CostPair(Q=np.eye(3), R=np.eye(1))
     P = np.eye(3)
-    stepped = value_iteration_step(P, sys, noise, costs)
     expected = np.eye(3) + A.T @ P @ A + 0.3 * (D.T @ P @ D)
+    lifted = solve_gare(sys, noise, costs, ONE_STEP).P
+    np.testing.assert_allclose(lifted, expected, atol=1e-12)
+    stepped = direct_value_step(P, sys, noise, costs)
     np.testing.assert_allclose(stepped, expected, atol=1e-12)
 
 
@@ -69,7 +77,7 @@ def test_fixed_point_is_stationary():
     noise = NoiseModel()
     sol = solve_gare(sys, noise, costs, TIGHT)
     assert sol.converged
-    stepped = value_iteration_step(sol.P, sys, noise, costs)
+    stepped = direct_value_step(sol.P, sys, noise, costs)
     assert la.norm(stepped - sol.P, "fro") <= 1e-12
 
 
@@ -115,18 +123,18 @@ def test_divergence_above_stabilizability_threshold(pendulum):
 
 def test_huge_variance_unstabilizable(pendulum):
     noise = pendulum.noise.with_variances([1e6], [])
-    assert not gare_feasible(pendulum.system, noise, pendulum.costs,
-                             pendulum.gare_options)
+    assert feasible_gare_solution(pendulum.system, noise, pendulum.costs,
+                                  pendulum.gare_options) is None
 
 
 def test_feasible_near_design_boundary(pendulum, pendulum_alg1):
     z_star = pendulum_alg1.z_star
     below = pendulum.noise.with_variances([0.999 * z_star], [])
     above = pendulum.noise.with_variances([1.05 * z_star], [])
-    assert gare_feasible(pendulum.system, below, pendulum.costs,
-                         pendulum.gare_options)
-    assert not gare_feasible(pendulum.system, above, pendulum.costs,
-                             pendulum.gare_options)
+    assert feasible_gare_solution(pendulum.system, below, pendulum.costs,
+                                  pendulum.gare_options) is not None
+    assert feasible_gare_solution(pendulum.system, above, pendulum.costs,
+                                  pendulum.gare_options) is None
 
 
 def test_zero_noise_controllable_is_feasible():
@@ -134,7 +142,7 @@ def test_zero_noise_controllable_is_feasible():
     A, B = random_controllable(rng, 3, 1)
     sys = NominalSystem(A=A, B=B)
     costs = CostPair(Q=np.eye(3), R=np.eye(1))
-    assert gare_feasible(sys, NoiseModel(), costs)
+    assert feasible_gare_solution(sys, NoiseModel(), costs) is not None
 
 
 def test_monotone_iterates_from_q():
@@ -144,7 +152,7 @@ def test_monotone_iterates_from_q():
     costs = CostPair(Q=np.eye(3), R=np.eye(2))
     P = costs.Q.copy()
     for _ in range(30):
-        P_next = value_iteration_step(P, sys, noise, costs)
+        P_next = direct_value_step(P, sys, noise, costs)
         assert la.eigvalsh(P_next - P)[0] >= -1e-10
         P = P_next
 
@@ -163,7 +171,7 @@ def test_residual_and_closed_loop_mss_at_convergence():
         sol = solve_gare(sys, noise, costs)
         if not sol.converged:
             continue
-        stepped = value_iteration_step(sol.P, sys, noise, costs)
+        stepped = direct_value_step(sol.P, sys, noise, costs)
         assert la.norm(sol.P - stepped, "fro") <= 1e-8 * la.norm(sol.P, "fro")
         A_cl, cl_dirs = closed_loop_substitution(sys, noise, sol.K)
         mss, radius = is_mean_square_stable(A_cl, cl_dirs)
@@ -175,3 +183,34 @@ def test_rejects_semidefinite_q():
     costs = CostPair(Q=[[0.0]], R=[[1.0]])
     with pytest.raises(ValueError):
         solve_gare(sys, NoiseModel(), costs)
+
+
+def test_gain_with_input_noise_matches_direct_formula():
+    # K = -(R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A, evaluated
+    # here from the returned P in direct matrix form
+    rng = np.random.default_rng(15)
+
+    def unit_direction(shape):
+        D = rng.normal(size=shape)
+        return D / la.norm(D, 2)
+
+    for _ in range(8):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 3))
+        A, B = random_controllable(rng, n, m)
+        A = 0.9 * A / np.max(np.abs(la.eigvals(A)))  # open loop is stable
+        sys = NominalSystem(A=A, B=B)
+        b_dirs = [(unit_direction((n, m)), float(rng.uniform(0.01, 0.1)))
+                  for _ in range(2)]
+        noise = NoiseModel(a_dirs=[(unit_direction((n, n)), 0.02)],
+                           b_dirs=b_dirs)
+        costs = CostPair(Q=np.eye(n), R=np.eye(m))
+        sol = solve_gare(sys, noise, costs, TIGHT)
+        assert sol.converged
+        P = sol.P
+        G = costs.R + B.T @ P @ B
+        for D, b in b_dirs:
+            G = G + b * (D.T @ P @ D)
+        K = -la.solve(G, B.T @ P @ A)
+        np.testing.assert_allclose(sol.K, K, rtol=1e-10,
+                                   atol=1e-12 * la.norm(K))

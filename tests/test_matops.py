@@ -8,7 +8,6 @@ from multinoise import (
     SingularPencilError,
     gen_eig_max,
     is_psd,
-    kron,
     psd_split,
     spectral_radius,
     symmetrize,
@@ -106,19 +105,12 @@ def test_gen_eig_max_singular_rhs():
         gen_eig_max(np.eye(2), np.diag([1.0, 0.0]))
 
 
-def test_kron_examples():
-    np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-    np.testing.assert_allclose(
-        kron(np.diag([2.0, 3.0]), np.eye(2)), np.diag([2.0, 2.0, 3.0, 3.0])
-    )
-
-
 def test_kron_vec_identity():
     rng = np.random.default_rng(3)
     M = rng.normal(size=(3, 3))
     X = rng.normal(size=(3, 3))
     lhs = vec(M.T @ X @ M)
-    rhs = kron(M.T, M.T) @ vec(X)
+    rhs = np.kron(M.T, M.T) @ vec(X)
     assert la.norm(lhs - rhs) < 1e-12
 
 

@@ -3,7 +3,6 @@ import numpy.linalg as la
 import pytest
 
 from multinoise import (
-    check_det_stability_from_mss,
     closed_loop_substitution,
     is_mean_square_stable,
     is_psd,
@@ -102,9 +101,12 @@ def test_solve_gle_not_mss_returns_flag():
 def test_check_det_stability_examples():
     one = np.array([[1.0]])
     # mean-square stability fails even though the mean dynamics are stable
-    assert not check_det_stability_from_mss(0.5 * one, [(one, 0.9)])
-    assert not check_det_stability_from_mss(1.2 * one, [])
-    assert check_det_stability_from_mss(0.5 * one, [(one, 0.25)], np.eye(1))
+    assert not is_mean_square_stable(0.5 * one, [(one, 0.9)])[0]
+    assert not is_mean_square_stable(1.2 * one, [])[0]
+    A_cl, dirs = 0.5 * one, [(one, 0.25)]
+    assert is_mean_square_stable(A_cl, dirs)[0]
+    assert spectral_radius(A_cl) < 1.0
+    assert solve_gle(A_cl, dirs, np.eye(1)).mss
 
 
 def test_mss_implies_deterministic_stability():
@@ -113,8 +115,9 @@ def test_mss_implies_deterministic_stability():
         n = int(rng.integers(1, 5))
         p = int(rng.integers(1, 4))
         A_cl, dirs = random_mss_instance(rng, n, p, rng.uniform(0.2, 0.999))
-        assert check_det_stability_from_mss(A_cl, dirs)
+        assert is_mean_square_stable(A_cl, dirs)[0]
         assert spectral_radius(A_cl) < 1.0
+        assert solve_gle(A_cl, dirs, np.eye(n)).mss
 
 
 def test_gle_equivalence_straddling_radius_one():
