@@ -39,6 +39,7 @@ from .matops import spectral_radius
 from .model import PerturbationBox, closed_loop_substitution
 from .problems import (
     Problem,
+    _checked_option,
     certificate_from_dict,
     certificate_to_dict,
     design_result_from_dict,
@@ -96,15 +97,25 @@ def _emit(data: dict, fmt: str) -> None:
 
 
 def _apply_overrides(problem: Problem, args) -> None:
-    # a subcommand parses only the solver flags it reads
+    # a subcommand parses only the solver flags it reads; each flag obeys
+    # the rule of the option it overrides
+    g, b = problem.gare_options, problem.bisect_options
     if getattr(args, "tol", None) is not None:
-        problem.gare_options.tol_rel = args.tol
+        g.tol_rel = _checked_option(args.tol, "tolerance", "option '--tol'")
     if getattr(args, "max_iter", None) is not None:
-        problem.gare_options.max_iter = args.max_iter
+        g.max_iter = _checked_option(args.max_iter, "count",
+                                     "option '--max-iter'")
     if getattr(args, "blowup", None) is not None:
-        problem.gare_options.blowup = args.blowup
+        g.blowup = _checked_option(args.blowup, "threshold",
+                                   "option '--blowup'")
     if getattr(args, "bisect_tol", None) is not None:
-        problem.bisect_options.rel_tol = args.bisect_tol
+        b.rel_tol = _checked_option(args.bisect_tol, "tolerance",
+                                    "option '--bisect-tol'")
+        if b.rel_tol == 0.0 and b.abs_tol == 0.0:
+            raise ProblemFormatError(
+                "option '--bisect-tol': must be > 0 when the problem's "
+                "bisect_abs_tol is 0"
+            )
 
 
 def _design_opts(problem: Problem, grid_samples: int = 10_000) -> DesignOptions:

@@ -28,8 +28,8 @@ from .margins import (
     BisectOptions,
     MarginCertificate,
     MarginMethod,
+    _margin_probe,
     bisect_max_feasible,
-    nlmi_feasible,
 )
 from .matops import spectral_radius
 from .model import (
@@ -216,9 +216,10 @@ def design_algorithm_1(
     A_cl, dirs = closed_loop_substitution(sys, noise, K)
     q_term = costs.Q + K.T @ costs.R @ K
     w = structure.weights
+    holds = _margin_probe(A_cl, dirs, q_term, P, w != 0.0)
 
     def feasible_y(y: float) -> bool:
-        return nlmi_feasible(A_cl, dirs, q_term, P, y * w, False)
+        return holds(y * w)
 
     y_star, y_cap = bisect_max_feasible(feasible_y, opts.bisect)
     box = PerturbationBox(

@@ -14,6 +14,7 @@ implemented; value iteration is the sole solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +122,14 @@ def solve_gare(
         Lp, BtPA, X = lifted_terms(pv)
         Pn = (qv + Lp).reshape((n, n), order="F") - BtPA.T @ X
         Pn = 0.5 * (Pn + Pn.T)
-        pv_next = Pn.reshape(-1, order="F")
-        diff = la.norm(pv_next - pv)
-        pnorm = la.norm(pv_next)
+        # Pn is exactly symmetric, so its row-major ravel is vec(Pn)
+        pv_next = Pn.ravel()
+        step = pv_next - pv
+        diff = math.sqrt(step @ step)
+        pnorm = math.sqrt(pv_next @ pv_next)
         pv = pv_next
         iterations += 1
-        if not np.isfinite(pnorm) or pnorm > opts.blowup:
+        if not math.isfinite(pnorm) or pnorm > opts.blowup:
             return GareSolution(P=None, K=None, iterations=iterations,
                                 converged=False)
         if diff <= opts.tol_abs + opts.tol_rel * pnorm:

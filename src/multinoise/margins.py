@@ -116,6 +116,8 @@ def bisect_max_feasible(
             return lo, True
     while hi - lo > opts.rel_tol * hi + opts.abs_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float left between the ends
+            break
         if feasible(mid):
             lo = mid
         else:
@@ -180,6 +182,63 @@ def _dir_mats(dirs: DirList) -> list[np.ndarray]:
     return [np.asarray(D, dtype=float) for D, _ in dirs]
 
 
+def _margin_probe(
+    A_cl,
+    dirs: DirList,
+    Q_eff,
+    P,
+    support,
+    bidirectional: bool = False,
+) -> Callable[[np.ndarray], bool]:
+    """Split the y-independent parts of the margin inequality once and
+    return the probe ``holds(eta)`` that weights them.
+
+    The parts are the left-hand side, the p first-order parts and the p^2
+    pair parts of the directions flagged in ``support``; ``eta`` must
+    vanish outside it. A probe adds the weighted parts in the same order
+    and skips the same zero entries as a direct evaluation, so every
+    verdict is bit-identical to splitting the terms afresh.
+    """
+    A_cl = np.asarray(A_cl, dtype=float)
+    P = symmetrize(P)
+    support = np.atleast_1d(np.asarray(support, dtype=bool))
+    if support.size != len(dirs):
+        raise DimensionError(
+            f"got {support.size} margins for {len(dirs)} directions"
+        )
+    part = abs_part if bidirectional else pos_part
+    lhs = symmetrize(np.asarray(Q_eff, dtype=float)).copy()
+    mats = _dir_mats(dirs)
+    for (D, a), Dm in zip(dirs, mats):
+        if a != 0.0:
+            lhs += a * (Dm.T @ P @ Dm)
+    active = np.flatnonzero(support).tolist()
+    PA = P @ A_cl
+    first = {i: part(mats[i].T @ PA + PA.T @ mats[i]) for i in active}
+    pairs = {}
+    for i in active:
+        PDi = P @ mats[i]
+        for j in active:
+            pairs[i, j] = part(mats[j].T @ PDi + PDi.T @ mats[j])
+
+    def holds(eta: np.ndarray) -> bool:
+        rhs = np.zeros_like(lhs)
+        for i in active:
+            if eta[i] != 0.0:
+                rhs += eta[i] * first[i]
+        for i in active:
+            ei = eta[i]
+            if ei == 0.0:
+                continue
+            for j in active:
+                ej = eta[j]
+                if ej != 0.0:
+                    rhs += ei * ej * pairs[i, j]
+        return is_psd(lhs - rhs)
+
+    return holds
+
+
 def nlmi_feasible(
     A_cl,
     dirs: DirList,
@@ -198,32 +257,8 @@ def nlmi_feasible(
     the positive part is replaced by the matrix absolute value, which
     dominates both sign choices.
     """
-    A_cl = np.asarray(A_cl, dtype=float)
-    P = symmetrize(P)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if eta.size != len(dirs):
-        raise DimensionError(
-            f"got {eta.size} margins for {len(dirs)} directions"
-        )
-    part = abs_part if bidirectional else pos_part
-    lhs = symmetrize(np.asarray(Q_eff, dtype=float)).copy()
-    mats = _dir_mats(dirs)
-    for (D, a), Dm in zip(dirs, mats):
-        if a != 0.0:
-            lhs += a * (Dm.T @ P @ Dm)
-    rhs = np.zeros_like(lhs)
-    PA = P @ A_cl
-    for ei, Di in zip(eta, mats):
-        if ei != 0.0:
-            rhs += ei * part(Di.T @ PA + PA.T @ Di)
-    for ei, Di in zip(eta, mats):
-        if ei == 0.0:
-            continue
-        PDi = P @ Di
-        for ej, Dj in zip(eta, mats):
-            if ej != 0.0:
-                rhs += ei * ej * part(Dj.T @ PDi + PDi.T @ Dj)
-    return is_psd(lhs - rhs)
+    return _margin_probe(A_cl, dirs, Q_eff, P, eta != 0.0, bidirectional)(eta)
 
 
 def _check_q_eff(Q_eff, n: int) -> np.ndarray:
@@ -275,9 +310,10 @@ def shared_lyapunov_margins(
             f"(moment radius {sol.moment_radius:.6g})"
         )
     w = structure.weights
+    holds = _margin_probe(A_cl, dirs, q_term, sol.P, w != 0.0, bidirectional)
 
     def feasible(y: float) -> bool:
-        return nlmi_feasible(A_cl, dirs, q_term, sol.P, y * w, bidirectional)
+        return holds(y * w)
 
     y_star, cap_hit = bisect_max_feasible(feasible, bisect_opts)
     return MarginCertificate(
@@ -432,9 +468,10 @@ def conservative_margins(
         y_star = total
     else:
         w = caps / total
+        holds = _margin_probe(A_cl, dirs, q_term, P, w != 0.0)
 
         def feasible(y: float) -> bool:
-            return nlmi_feasible(A_cl, dirs, q_term, P, y * w, False)
+            return holds(y * w)
 
         y_nlmi, _ = bisect_max_feasible(feasible, bisect_opts)
         y_star = min(y_nlmi, total)
@@ -525,18 +562,23 @@ def aux_system_margins(
         s = float(eta.sum())
         return [(D, e * (1.0 + s)) for D, e in zip(mats, eta)], s
 
+    any_feasible = False
+
     def feasible(y: float) -> bool:
+        nonlocal any_feasible
         d, s = aux_dirs(y)
         mss, _ = is_mean_square_stable(math.sqrt(1.0 + s) * A_cl, d)
+        any_feasible = any_feasible or mss
         return mss
 
-    if not feasible(0.0):
+    # the bisection probes y = 0 first; no feasible probe means none at 0
+    y_star, cap_hit = bisect_max_feasible(feasible, bisect_opts)
+    if not any_feasible:
         return MarginCertificate(
             box=_split_box(np.zeros(len(dirs)), structure.p, True),
             method=MarginMethod.AUX_SCALED,
             y_star=0.0,
         )
-    y_star, cap_hit = bisect_max_feasible(feasible, bisect_opts)
     d, s = aux_dirs(y_star)
     q_cert = _check_q_eff(q_cert, n)
     aux_sol = solve_gle(math.sqrt(1.0 + s) * A_cl, d, q_cert)

@@ -13,6 +13,7 @@ field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,6 +126,45 @@ def _dir_list(data: dict, name: str, var_name: str) -> list:
     return [(M, float(v)) for M, v in zip(out, variances)]
 
 
+#: rule and default of each solver option of the "options" block
+_OPTION_RULES = {
+    "tol_abs": ("tolerance", GareOptions.tol_abs),
+    "tol_rel": ("tolerance", GareOptions.tol_rel),
+    "blowup": ("threshold", GareOptions.blowup),
+    "max_iter": ("count", GareOptions.max_iter),
+    "bisect_rel_tol": ("tolerance", BisectOptions.rel_tol),
+    "bisect_abs_tol": ("tolerance", BisectOptions.abs_tol),
+    "bracket_cap": ("threshold", BisectOptions.bracket_cap),
+}
+
+
+def _checked_option(value, rule: str, name: str) -> float | int:
+    """A solver option's value under its rule, or a ProblemFormatError
+    naming ``name``: a ``tolerance`` is finite and >= 0, a ``threshold``
+    is finite and > 0, a ``count`` is an integer >= 1. A NaN tolerance
+    never stops the value iteration, which then reads as divergence, and a
+    negative bisection tolerance asks for a bracket no float pair meets."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError(f"expected a number, got {value}")
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFormatError(f"{name}: {exc}") from exc
+    if rule == "count":
+        if not (x.is_integer() and x >= 1.0):
+            raise ProblemFormatError(
+                f"{name}: must be an integer >= 1, got {value}"
+            )
+        return value if isinstance(value, int) else int(x)
+    if not math.isfinite(x):
+        raise ProblemFormatError(f"{name}: must be finite, got {value}")
+    if rule == "tolerance" and x < 0.0:
+        raise ProblemFormatError(f"{name}: must be >= 0, got {value}")
+    if rule == "threshold" and x <= 0.0:
+        raise ProblemFormatError(f"{name}: must be > 0, got {value}")
+    return x
+
+
 def parse_problem(data: dict) -> Problem:
     """Build a :class:`Problem` from a parsed JSON document."""
     if not isinstance(data, dict):
@@ -188,25 +228,30 @@ def parse_problem(data: dict) -> Problem:
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ProblemFormatError("field 'options': expected an object")
-    known = {"tol_abs", "tol_rel", "blowup", "max_iter",
-             "bisect_rel_tol", "bisect_abs_tol", "bracket_cap"}
     for key in opts:
-        if key not in known:
+        if key not in _OPTION_RULES:
             raise ProblemFormatError(f"field 'options.{key}': unknown option")
-    try:
-        gare_options = GareOptions(
-            tol_abs=float(opts.get("tol_abs", GareOptions.tol_abs)),
-            tol_rel=float(opts.get("tol_rel", GareOptions.tol_rel)),
-            blowup=float(opts.get("blowup", GareOptions.blowup)),
-            max_iter=int(opts.get("max_iter", GareOptions.max_iter)),
+    value = {
+        key: _checked_option(opts.get(key, default), rule,
+                             f"field 'options.{key}'")
+        for key, (rule, default) in _OPTION_RULES.items()
+    }
+    if value["bisect_rel_tol"] == 0.0 and value["bisect_abs_tol"] == 0.0:
+        raise ProblemFormatError(
+            "field 'options.bisect_rel_tol'/'options.bisect_abs_tol': the "
+            "two bisection tolerances must not both be 0"
         )
-        bisect_options = BisectOptions(
-            rel_tol=float(opts.get("bisect_rel_tol", BisectOptions.rel_tol)),
-            abs_tol=float(opts.get("bisect_abs_tol", BisectOptions.abs_tol)),
-            bracket_cap=float(opts.get("bracket_cap", BisectOptions.bracket_cap)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field 'options': {exc}") from exc
+    gare_options = GareOptions(
+        tol_abs=value["tol_abs"],
+        tol_rel=value["tol_rel"],
+        blowup=value["blowup"],
+        max_iter=value["max_iter"],
+    )
+    bisect_options = BisectOptions(
+        rel_tol=value["bisect_rel_tol"],
+        abs_tol=value["bisect_abs_tol"],
+        bracket_cap=value["bracket_cap"],
+    )
 
     return Problem(
         system=system,

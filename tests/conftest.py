@@ -12,6 +12,7 @@ from multinoise import (
     spectral_radius,
     symmetrize,
 )
+from multinoise.matops import abs_part, pos_part
 
 
 def random_mss_instance(rng, n, p, target_radius):
@@ -49,6 +50,37 @@ def direct_value_step(P_t, sys, noise, costs):
         G = G + b * (D.T @ P @ D)
     BtPA = B.T @ P @ A
     return symmetrize(S - BtPA.T @ la.solve(G, BtPA))
+
+
+def direct_margin_matrix(A_cl, dirs, Q_eff, P, eta, bidirectional=False):
+    """The matrix whose semidefiniteness decides the margin inequality at
+    eta, with every part split afresh: Q_eff + sum_k alpha_k D_k^T P D_k
+    minus the weighted parts of the first-order and pair terms, added in
+    index order and skipping zero entries of eta.
+
+    An oracle for the probes of ``nlmi_feasible``, which split the
+    eta-independent parts once; the two share only the matops primitives.
+    """
+    part = abs_part if bidirectional else pos_part
+    P = symmetrize(P)
+    mats = [np.asarray(D, dtype=float) for D, _ in dirs]
+    lhs = symmetrize(Q_eff).copy()
+    for (_, a), D in zip(dirs, mats):
+        if a != 0.0:
+            lhs += a * (D.T @ P @ D)
+    rhs = np.zeros_like(lhs)
+    PA = P @ A_cl
+    for ei, Di in zip(eta, mats):
+        if ei != 0.0:
+            rhs += ei * part(Di.T @ PA + PA.T @ Di)
+    for ei, Di in zip(eta, mats):
+        if ei == 0.0:
+            continue
+        PDi = P @ Di
+        for ej, Dj in zip(eta, mats):
+            if ej != 0.0:
+                rhs += ei * ej * part(Dj.T @ PDi + PDi.T @ Dj)
+    return lhs - rhs
 
 
 @pytest.fixture(scope="session")

@@ -299,3 +299,69 @@ def test_design_bisect_tol_reaches_bisection(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert seen == [0.25, 0.25]  # the variance and the margin bisections
+
+
+@pytest.fixture
+def no_solver_runs(monkeypatch):
+    """Fail at once if a command starts a solve: a bad option must be
+    rejected before any run that it could keep from ending."""
+    import multinoise.cli as cli_mod
+
+    def started(*args, **kwargs):
+        raise AssertionError("a solver run started")
+
+    for name in ("solve_gare", "compute_margins", "design_algorithm_1"):
+        monkeypatch.setattr(cli_mod, name, started)
+
+
+@pytest.mark.parametrize("options, argv, field", [
+    # tolerances are finite and >= 0
+    ({"tol_rel": float("nan")}, ["solve-gare"], "options.tol_rel"),
+    ({"bisect_rel_tol": -0.1}, ["margins", "--method", "shared-uni"],
+     "options.bisect_rel_tol"),
+    # the two bisection tolerances are not both 0
+    ({"bisect_rel_tol": 0.0, "bisect_abs_tol": 0.0},
+     ["margins", "--method", "shared-uni"], "options.bisect_rel_tol"),
+    # blowup and bracket_cap are finite and > 0
+    ({"blowup": 0.0}, ["solve-gare"], "options.blowup"),
+    ({"bracket_cap": float("inf")}, ["margins", "--method", "aux"],
+     "options.bracket_cap"),
+    # max_iter is an integer >= 1
+    ({"max_iter": -3}, ["solve-gare"], "options.max_iter"),
+    ({"max_iter": 2.5}, ["design", "--algo", "1"], "options.max_iter"),
+])
+def test_bad_solver_option_exit_two(tmp_path, capsys, no_solver_runs,
+                                    options, argv, field):
+    doc = stable_doc()
+    doc["options"] = options
+    path = write_problem(tmp_path, doc)  # json writes NaN and Infinity
+    assert main([argv[0], path] + argv[1:]) == 2
+    assert f"field '{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options, argv, flag", [
+    ({}, ["solve-gare", "--tol", "nan"], "--tol"),
+    ({}, ["solve-gare", "--max-iter", "-3"], "--max-iter"),
+    ({}, ["design", "--algo", "1", "--blowup", "-1"], "--blowup"),
+    ({}, ["margins", "--method", "shared-uni", "--bisect-tol", "-0.001"],
+     "--bisect-tol"),
+    ({"bisect_abs_tol": 0.0},
+     ["margins", "--method", "aux", "--bisect-tol", "0"], "--bisect-tol"),
+])
+def test_bad_solver_flag_exit_two(tmp_path, capsys, no_solver_runs,
+                                  options, argv, flag):
+    doc = stable_doc()
+    doc["options"] = options
+    path = write_problem(tmp_path, doc)
+    assert main([argv[0], path] + argv[1:]) == 2
+    assert f"option '{flag}'" in capsys.readouterr().err
+
+
+def test_valid_solver_options_still_parse(tmp_path, capsys):
+    doc = stable_doc()
+    doc["options"] = {"tol_abs": 0.0, "bisect_abs_tol": 0.0,
+                      "max_iter": 50.0, "bracket_cap": 1e6}
+    path = write_problem(tmp_path, doc)
+    code, out = run_json(capsys, ["solve-gare", path, "--tol", "1e-4"])
+    assert code == 0
+    assert out["iterations"] <= 50

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
+import multinoise.margins as margins_mod
 from multinoise import (
     BisectOptions,
     DimensionError,
@@ -26,10 +27,15 @@ from multinoise import (
     solve_gle,
     spectral_radius,
 )
-from multinoise.margins import _bisect_min_feasible, _single_dir_condition
+from multinoise.margins import (
+    _bisect_min_feasible,
+    bisect_max_feasible,
+    _single_dir_condition,
+    _sqrt_shift_gap,
+)
 from multinoise.matops import pos_part
 
-from conftest import random_mss_instance
+from conftest import direct_margin_matrix, random_mss_instance
 
 TIGHT = BisectOptions(rel_tol=1e-9)
 ONE = np.array([[1.0]])
@@ -490,6 +496,182 @@ def test_bidirectional_never_exceeds_unidirectional():
         uni = shared_lyapunov_margins(A_cl, dirs, None, structure, False)
         bi = shared_lyapunov_margins(A_cl, dirs, None, structure, True)
         assert bi.y_star <= uni.y_star * (1 + 2e-6)
+
+
+def test_bisect_max_feasible_ends_at_float_resolution():
+    # with both tolerances 0 the bracket closes only when no float is left
+    # between its ends; the probe budget turns a loop that never ends into
+    # a failure
+    probes = []
+
+    def feasible(y):
+        probes.append(y)
+        assert len(probes) < 10_000, "bisection did not end"
+        return y <= 0.3
+
+    y, cap_hit = bisect_max_feasible(feasible, BisectOptions(0.0, 0.0))
+    assert not cap_hit
+    assert y == 0.3 or np.nextafter(y, 1.0) == 0.3
+
+
+# ------------------------------------------- inequality split per certificate
+#
+# The margin bisections split the y-independent parts of the inequality once
+# per certificate; these tests pin that the probes still decide exactly like
+# nlmi_feasible, and that the split count no longer grows with the probes.
+
+def _split_instances(seed, p, count=4):
+    """Seeded instances with p directions and their weights; from p = 2 on,
+    every other instance gives its last direction zero weight."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 5))
+        A_cl, dirs = random_mss_instance(rng, n, p, rng.uniform(0.3, 0.9))
+        theta = rng.uniform(0.2, 1.0, size=p)
+        if p >= 2 and k % 2:
+            structure = UncertaintyStructure(theta=theta[:-1], phi=[0.0])
+        else:
+            structure = UncertaintyStructure(theta=theta)
+        yield A_cl, dirs, structure
+
+
+def _nlmi_bisection(A_cl, dirs, q_matrix, P, w, bidirectional):
+    return bisect_max_feasible(
+        lambda y: nlmi_feasible(A_cl, dirs, q_matrix, P, y * w, bidirectional)
+    )
+
+
+def _record_psd_checks(monkeypatch):
+    """Every matrix the margin module hands to is_psd, in call order."""
+    seen = []
+    check = margins_mod.is_psd
+    monkeypatch.setattr(margins_mod, "is_psd",
+                        lambda S, tol=None: seen.append(S.copy())
+                        or check(S, tol))
+    return seen
+
+
+def _assert_same_bits(mats, ref_mats):
+    assert len(mats) == len(ref_mats)
+    for M, R in zip(mats, ref_mats):
+        assert M.tobytes() == R.tobytes()
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_nlmi_probe_matrix_matches_direct_form_bitwise(monkeypatch,
+                                                       bidirectional):
+    # the stored parts are weighted in the order of a direct evaluation,
+    # so the matrix that decides a probe is the same to the bit
+    seen = _record_psd_checks(monkeypatch)
+    rng = np.random.default_rng(45)
+    for p in (1, 2, 3):
+        A_cl, dirs = random_mss_instance(rng, 3, p, 0.6)
+        q_term = p * np.eye(3)
+        P = solve_gle(A_cl, dirs, q_term).P
+        for _ in range(4):
+            eta = rng.uniform(0.0, 0.5, size=p)
+            if p >= 2:
+                eta[rng.integers(p)] = 0.0
+            seen.clear()
+            nlmi_feasible(A_cl, dirs, q_term, P, eta, bidirectional)
+            _assert_same_bits(seen, [direct_margin_matrix(
+                A_cl, dirs, q_term, P, eta, bidirectional)])
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_shared_margins_match_nlmi_bisection_bitwise(monkeypatch, p,
+                                                     bidirectional):
+    # the same probes, on the same matrices to the bit, as bisecting on
+    # nlmi_feasible itself
+    seen = _record_psd_checks(monkeypatch)
+    for A_cl, dirs, structure in _split_instances(40 + p, p):
+        seen.clear()
+        cert = shared_lyapunov_margins(A_cl, dirs, None, structure,
+                                       bidirectional)
+        probed = seen[1:]  # the first check is Q_eff >= I
+        seen.clear()
+        y_ref, cap_ref = _nlmi_bisection(A_cl, dirs, cert.q_matrix, cert.P,
+                                         structure.weights, bidirectional)
+        _assert_same_bits(probed, seen)
+        assert cert.y_star.hex() == y_ref.hex()
+        assert cert.cap_hit == cap_ref
+
+
+@pytest.mark.parametrize("kind", [MarginMethod.CONS_LINEARIZED,
+                                  MarginMethod.CONS_SIMPLE])
+@pytest.mark.parametrize("p", [2, 3])
+def test_conservative_margins_match_nlmi_bisection_bitwise(monkeypatch, p,
+                                                           kind):
+    seen = _record_psd_checks(monkeypatch)
+    rng = np.random.default_rng(50 + p)
+    for k in range(4):
+        n = int(rng.integers(1, 5))
+        A_cl, dirs = random_mss_instance(rng, n, p, rng.uniform(0.3, 0.9))
+        if k % 2:  # a zero variance gives its direction zero weight
+            dirs[-1] = (dirs[-1][0], 0.0)
+        seen.clear()
+        cert = conservative_margins(A_cl, dirs, None, kind)
+        probed = list(seen)
+        caps = np.array([_sqrt_shift_gap(z, a) if a > 0.0 else 0.0
+                         for z, (_, a) in zip(cert.zeta, dirs)])
+        total = float(caps.sum())
+        assert total > 0.0
+        seen.clear()
+        y_nlmi, _ = _nlmi_bisection(A_cl, dirs, cert.q_matrix, cert.P,
+                                    caps / total, False)
+        _assert_same_bits(probed, seen)
+        assert cert.y_star.hex() == min(y_nlmi, total).hex()
+
+
+def _count_splits(monkeypatch):
+    calls = []
+    for name in ("pos_part", "abs_part"):
+        part = getattr(margins_mod, name)
+        monkeypatch.setattr(margins_mod, name,
+                            lambda S, part=part: calls.append(1) or part(S))
+    return calls
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_shared_margins_split_once_per_certificate(monkeypatch, p,
+                                                   bidirectional):
+    calls = _count_splits(monkeypatch)
+    for A_cl, dirs, structure in _split_instances(60 + p, p, count=2):
+        active = int(np.count_nonzero(structure.weights))
+        counts = []
+        for rel_tol in (1e-3, 1e-9):
+            calls.clear()
+            shared_lyapunov_margins(A_cl, dirs, None, structure,
+                                    bidirectional, BisectOptions(rel_tol))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == active + active * active
+        assert counts[0] <= p + p * p
+
+
+@pytest.mark.parametrize("unstable", [False, True])
+def test_aux_margins_one_mss_check_per_probe(monkeypatch, unstable):
+    checks, probes = [], []
+    mss = margins_mod.is_mean_square_stable
+    bisect = margins_mod.bisect_max_feasible
+
+    def counting_bisect(feasible, opts=None):
+        return bisect(lambda y: probes.append(y) or feasible(y), opts)
+
+    monkeypatch.setattr(margins_mod, "is_mean_square_stable",
+                        lambda *args: checks.append(1) or mss(*args))
+    monkeypatch.setattr(margins_mod, "bisect_max_feasible", counting_bisect)
+    if unstable:
+        cert = aux_system_margins(1.5 * ONE, [(ONE, 0.2)], single_structure())
+        assert cert.y_star == 0.0 and cert.P is None
+    else:
+        rng = np.random.default_rng(36)
+        A_cl, dirs = random_mss_instance(rng, 3, 2, 0.6)
+        cert = aux_system_margins(A_cl, dirs,
+                                  UncertaintyStructure(theta=[1.0, 2.0]))
+        assert cert.y_star > 0.0
+    assert probes and len(checks) == len(probes)
 
 
 # ------------------------------------------------------------------ dispatch
