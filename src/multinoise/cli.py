@@ -139,7 +139,8 @@ def cmd_solve_gare(args) -> int:
     costs = problem.require_costs()
     sol = solve_gare(problem.system, problem.noise, costs,
                      problem.gare_options)
-    out: dict = {"converged": sol.converged, "iterations": sol.iterations}
+    out: dict = {"converged": sol.converged, "status": sol.status,
+                 "iterations": sol.iterations}
     if sol.converged:
         A_cl, dirs = closed_loop_substitution(problem.system, problem.noise,
                                               sol.K)
@@ -153,7 +154,12 @@ def cmd_solve_gare(args) -> int:
         })
         _emit(out, args.format)
         return EXIT_OK if mss else EXIT_INFEASIBLE
-    out["status"] = "diverged: not mean-square stabilizable at these variances"
+    if sol.status == "iteration_cap":
+        out["reason"] = (f"stopped at the iteration cap ({sol.iterations}) "
+                         "before converging; stabilizability is undecided")
+    else:
+        out["reason"] = ("diverged: not mean-square stabilizable at these "
+                         "variances")
     _emit(out, args.format)
     return EXIT_INFEASIBLE
 

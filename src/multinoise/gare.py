@@ -23,7 +23,7 @@ import numpy.linalg as la
 from .errors import NumericalError
 from .matops import symmetrize, vec
 from .model import CostPair, NoiseModel, NominalSystem, closed_loop_substitution
-from .stability import is_mean_square_stable
+from .stability import _mss_holds
 
 __all__ = [
     "GareOptions",
@@ -38,9 +38,10 @@ class GareOptions:
     """Stopping policy for the value iteration.
 
     Convergence: ||P_{t+1} - P_t||_F <= tol_abs + tol_rel * ||P_t||_F.
-    Divergence: ||P_t||_F > blowup, or the iteration cap is hit; both are
-    reported as ``converged=False`` and signal mean-square
-    unstabilizability at the given parameters.
+    Divergence: ||P_t||_F > blowup, or a non-finite iterate; it signals
+    mean-square unstabilizability at the given parameters. The design
+    probes read divergence and the iteration cap alike as infeasible;
+    :attr:`GareSolution.status` says which limit stopped the iteration.
     """
 
     tol_abs: float = 1e-10
@@ -51,12 +52,24 @@ class GareOptions:
 
 @dataclass
 class GareSolution:
-    """Converged value matrix and optimal gain, or a divergence report."""
+    """Converged value matrix and optimal gain, or the reason the value
+    iteration stopped without them.
+
+    ``status`` is ``"converged"`` (the convergence test passed),
+    ``"iteration_cap"`` (``max_iter`` iterations ran without it),
+    ``"blowup"`` (the iterate norm passed ``blowup``) or ``"non_finite"``
+    (an iterate was not finite). Only the last two are evidence of
+    divergence.
+    """
 
     P: np.ndarray | None
     K: np.ndarray | None
     iterations: int
-    converged: bool
+    status: str
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def _lifted_step_operators(sys: NominalSystem, noise: NoiseModel):
@@ -130,14 +143,15 @@ def solve_gare(
         pv = pv_next
         iterations += 1
         if not math.isfinite(pnorm) or pnorm > opts.blowup:
+            status = "blowup" if math.isfinite(pnorm) else "non_finite"
             return GareSolution(P=None, K=None, iterations=iterations,
-                                converged=False)
+                                status=status)
         if diff <= opts.tol_abs + opts.tol_rel * pnorm:
             _, _, X = lifted_terms(pv)
             return GareSolution(P=Pn, K=-X, iterations=iterations,
-                                converged=True)
+                                status="converged")
     return GareSolution(P=None, K=None, iterations=iterations,
-                        converged=False)
+                        status="iteration_cap")
 
 
 def feasible_gare_solution(
@@ -152,5 +166,4 @@ def feasible_gare_solution(
     if not sol.converged:
         return None
     A_cl, dirs = closed_loop_substitution(sys, noise, sol.K)
-    mss, _ = is_mean_square_stable(A_cl, dirs)
-    return sol if mss else None
+    return sol if _mss_holds(A_cl, dirs) else None

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError, NotMeanSquareStableError, NumericalError
 from .matops import abs_part, is_psd, pos_part, symmetrize
 from .model import DirList, PerturbationBox, UncertaintyStructure
-from .stability import is_mean_square_stable, solve_gle
+from .stability import _mss_holds, solve_gle
 
 __all__ = [
     "BisectOptions",
@@ -567,7 +567,7 @@ def aux_system_margins(
     def feasible(y: float) -> bool:
         nonlocal any_feasible
         d, s = aux_dirs(y)
-        mss, _ = is_mean_square_stable(math.sqrt(1.0 + s) * A_cl, d)
+        mss = _mss_holds(math.sqrt(1.0 + s) * A_cl, d)
         any_feasible = any_feasible or mss
         return mss
 

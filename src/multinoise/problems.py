@@ -110,19 +110,27 @@ def _vector(data: dict, name: str, length: int | None = None) -> np.ndarray | No
     return v
 
 
-def _dir_list(data: dict, name: str, var_name: str) -> list:
+def _dir_list(data: dict, name: str, var_name: str, shape: tuple) -> list:
     mats = data.get(name, [])
     if not isinstance(mats, list):
         raise ProblemFormatError(f"field '{name}': expected a list of matrices")
     out = []
     for i, m in enumerate(mats):
         M = _numeric(m, f"{name}[{i}]")
-        if M.ndim != 2:
-            raise ProblemFormatError(f"field '{name}[{i}]': expected a matrix")
+        if M.shape != shape:
+            raise ProblemFormatError(
+                f"field '{name}[{i}]': expected a {shape[0]}x{shape[1]} "
+                f"matrix, got shape {M.shape}"
+            )
         out.append(M)
     variances = _vector(data, var_name, len(out))
     if variances is None:
         variances = np.zeros(len(out))
+    for i, v in enumerate(variances):
+        if v < 0:
+            raise ProblemFormatError(
+                f"field '{var_name}[{i}]': must be nonnegative, got {v}"
+            )
     return [(M, float(v)) for M, v in zip(out, variances)]
 
 
@@ -189,13 +197,13 @@ def parse_problem(data: dict) -> Problem:
         except ValueError as exc:
             raise ProblemFormatError(f"field 'A_bar'/'B_bar': {exc}") from exc
 
+    n, m = system.n, system.m
+    a_dirs = _dir_list(data, "A_dirs", "alpha", (n, n))
+    b_dirs = _dir_list(data, "B_dirs", "beta", (n, m))
     try:
-        noise = NoiseModel(
-            a_dirs=_dir_list(data, "A_dirs", "alpha"),
-            b_dirs=_dir_list(data, "B_dirs", "beta"),
-        )
-    except ValueError as exc:
-        raise ProblemFormatError(f"field 'A_dirs'/'B_dirs': {exc}") from exc
+        noise = NoiseModel(a_dirs=a_dirs, b_dirs=b_dirs)
+    except ValueError as exc:  # more state directions than entries of A
+        raise ProblemFormatError(f"field 'A_dirs': {exc}") from exc
 
     structure = None
     theta = _vector(data, "theta", noise.p if noise.p else None)

@@ -68,6 +68,31 @@ def test_solve_gare_diverges_exit_one(tmp_path, capsys):
     code, out = run_json(capsys, ["solve-gare", path])
     assert code == 1
     assert out["converged"] is False
+    assert out["status"] == "blowup" and "diverged" in out["reason"]
+
+
+def test_solve_gare_iteration_cap_is_not_divergence(tmp_path, capsys):
+    path = write_problem(tmp_path, pendulum_doc())
+    code, out = run_json(capsys, ["solve-gare", path, "--max-iter", "2"])
+    assert code == 1
+    assert out["converged"] is False and out["iterations"] == 2
+    assert out["status"] == "iteration_cap"
+    assert "diverged" not in out["reason"]
+    assert "iteration cap" in out["reason"]
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("A_dirs", [[[1.0, 0.0], [0.0, 1.0]]], "A_dirs[0]"),  # 2x2 on a 1x1 A
+    ("B_dirs", [[[1.0, 0.0]]], "B_dirs[0]"),               # 1x2 on a 1x1 B
+])
+def test_direction_shape_mismatch_exit_two(tmp_path, capsys, field, value,
+                                           name):
+    doc = {"A": [[0.5]], "B": [[1.0]], field: value,
+           "alpha" if field == "A_dirs" else "beta": [0.1]}
+    path = write_problem(tmp_path, doc)
+    assert main(["check-mss", path]) == 2
+    err = capsys.readouterr().err
+    assert f"field '{name}'" in err and "1x1" in err
 
 
 @pytest.mark.parametrize(

@@ -117,8 +117,28 @@ def test_divergence_above_stabilizability_threshold(pendulum):
     noise = pendulum.noise.with_variances([110.0], [])
     sol = solve_gare(pendulum.system, noise, pendulum.costs,
                      pendulum.gare_options)
-    assert not sol.converged
+    assert not sol.converged and sol.status == "blowup"
     assert sol.P is None and sol.K is None
+
+
+def test_status_names_the_stop(pendulum):
+    opts = pendulum.gare_options
+    sol = solve_gare(pendulum.system, pendulum.noise, pendulum.costs, opts)
+    assert sol.converged and sol.status == "converged"
+    capped = GareOptions(tol_abs=opts.tol_abs, tol_rel=opts.tol_rel,
+                         blowup=opts.blowup, max_iter=2)
+    sol = solve_gare(pendulum.system, pendulum.noise, pendulum.costs, capped)
+    assert sol.status == "iteration_cap" and sol.iterations == 2
+    assert not sol.converged and sol.P is None and sol.K is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_status_non_finite_when_an_iterate_overflows():
+    # A^2 overflows in the first iterate, before any norm can pass blowup
+    sys, costs = scalar_problem(a=1e200)
+    sol = solve_gare(sys, NoiseModel(), costs)
+    assert sol.status == "non_finite" and sol.iterations == 1
+    assert not sol.converged
 
 
 def test_huge_variance_unstabilizable(pendulum):

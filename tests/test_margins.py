@@ -653,13 +653,13 @@ def test_shared_margins_split_once_per_certificate(monkeypatch, p,
 @pytest.mark.parametrize("unstable", [False, True])
 def test_aux_margins_one_mss_check_per_probe(monkeypatch, unstable):
     checks, probes = [], []
-    mss = margins_mod.is_mean_square_stable
+    mss = margins_mod._mss_holds
     bisect = margins_mod.bisect_max_feasible
 
     def counting_bisect(feasible, opts=None):
         return bisect(lambda y: probes.append(y) or feasible(y), opts)
 
-    monkeypatch.setattr(margins_mod, "is_mean_square_stable",
+    monkeypatch.setattr(margins_mod, "_mss_holds",
                         lambda *args: checks.append(1) or mss(*args))
     monkeypatch.setattr(margins_mod, "bisect_max_feasible", counting_bisect)
     if unstable:

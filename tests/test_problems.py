@@ -59,6 +59,26 @@ def test_parse_errors_name_the_field():
         parse_problem(doc)
 
 
+def test_direction_errors_name_one_field():
+    cases = [
+        ("A_dirs", [np.eye(3).tolist()], "field 'A_dirs[0]': expected a 2x2"),
+        ("A_dirs", [[[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]],
+         "field 'A_dirs[1]': expected a 2x2"),
+        ("B_dirs", [np.eye(2).tolist()], "field 'B_dirs[0]': expected a 2x1"),
+        ("alpha", [0.2, 0.3], "field 'alpha': expected 1 entries, got 2"),
+        ("alpha", [-0.2], "field 'alpha[0]': must be nonnegative"),
+    ]
+    for field, value, message in cases:
+        doc = minimal_doc()
+        doc[field] = value
+        if field == "B_dirs":
+            doc["beta"] = [0.1]
+        with pytest.raises(ProblemFormatError) as info:
+            parse_problem(doc)
+        assert str(info.value).startswith(message), str(info.value)
+        assert str(info.value).count("field '") == 1
+
+
 def test_load_problem_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  \"A\": [[1,\n}")

@@ -3,6 +3,7 @@ import numpy.linalg as la
 import pytest
 
 from multinoise import (
+    DimensionError,
     closed_loop_substitution,
     is_mean_square_stable,
     is_psd,
@@ -11,9 +12,11 @@ from multinoise import (
     spectral_radius,
     symmetrize,
 )
+from multinoise import stability
 from multinoise.matops import unvec, vec
+from multinoise.stability import MSS_MARGIN, _mss_holds, _svec_lift
 
-from conftest import random_mss_instance
+from conftest import VERDICT_BAND, random_mss_instance
 
 
 def gle_fixed_point_oracle(A_cl, dirs, Q, iters=20000, tol=1e-12):
@@ -150,3 +153,132 @@ def test_gle_monotone_in_q():
         P1 = solve_gle(A_cl, dirs, Q1).P
         P2 = solve_gle(A_cl, dirs, Q2).P
         assert is_psd(P1 - P2, tol=1e-9 * la.norm(P1, 2))
+
+
+# ------------------------------------------------- svec lift and LU verdict
+
+def _rescaled(A_cl, dirs, radius, target):
+    # the moment operator is homogeneous of degree two in (A_cl, sqrt(alpha))
+    s = np.sqrt(target / radius)
+    return s * A_cl, [(D, s * s * a) for D, a in dirs]
+
+
+def _direct_moment(A_cl, dirs, P):
+    out = A_cl.T @ P @ A_cl
+    for D, a in dirs:
+        out = out + a * (D.T @ P @ D)
+    return out
+
+
+def test_svec_lift_acts_like_the_moment_map_and_keeps_the_radius():
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 3, 4, 6):
+        for p in (0, 1, 3):
+            A_cl = rng.normal(size=(n, n))
+            dirs = [(rng.normal(size=(n, n)), float(rng.uniform(0.1, 1.0)))
+                    for _ in range(p)]
+            if p:
+                dirs.append((rng.normal(size=(n, n)), 0.0))
+            S = _svec_lift(A_cl, dirs)
+            assert S.shape == (n * (n + 1) // 2,) * 2
+            R, C = np.tril_indices(n)
+            X = rng.normal(size=(n, n))
+            X = X + X.T
+            want = _direct_moment(A_cl, dirs, X)[R, C]
+            np.testing.assert_allclose(S @ X[R, C], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+            full = spectral_radius(moment_operator(A_cl, dirs))
+            assert spectral_radius(S) == pytest.approx(full, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, count", [(2, 20), (3, 20), (4, 20), (8, 8),
+                                      (16, 3)])
+def test_lu_verdict_agrees_with_radius_verdict_outside_band(n, count):
+    targets = [0.5, 1 - 1e-3, 1 - 1e-5, 1 + 1e-5, 1 + 1e-3, 2.0]
+    assert all(abs(t - 1.0) > VERDICT_BAND for t in targets)
+    rng = np.random.default_rng(62 + n)
+    for _ in range(count):
+        p = int(rng.integers(1, 4))
+        A0, dirs0 = random_mss_instance(rng, n, p, 0.9)
+        for target in targets:
+            A_cl, dirs = _rescaled(A0, dirs0, 0.9, target)
+            mss, radius = is_mean_square_stable(A_cl, dirs)
+            assert abs(radius - 1.0) > VERDICT_BAND
+            assert _mss_holds(A_cl, dirs) == mss == (target < 1.0)
+            sol = solve_gle(A_cl, dirs, np.eye(n))
+            assert sol.mss == mss and (sol.P is None) == (not mss)
+
+
+def test_lu_verdict_unstable_at_radius_one_and_singular_factorization():
+    eye2 = np.eye(2)
+    # rho = 1 exactly: I - M is singular, the shifted factorization is not
+    assert not _mss_holds(eye2, [])
+    sol = solve_gle(eye2, [], eye2)
+    assert not sol.mss and sol.P is None
+    assert sol.moment_radius == pytest.approx(1.0)
+    # (1 - MSS_MARGIN) I - M is exactly zero: the LU itself is singular
+    one, zero = np.eye(1), np.zeros((1, 1))
+    assert not _mss_holds(zero, [(one, 1.0 - MSS_MARGIN)])
+    assert not solve_gle(zero, [(one, 1.0 - MSS_MARGIN)], one).mss
+    # above one, I - M is nonsingular but its solution is not definite
+    assert not _mss_holds(1.5 * eye2, [])
+    assert _mss_holds(0.5 * eye2, [(eye2, 0.5)])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lu_verdict_unstable_for_non_finite_entries(bad):
+    A_cl = np.array([[0.5, bad], [0.0, 0.5]])
+    D = np.array([[0.1, 0.0], [bad, 0.1]])
+    eye2 = np.eye(2)
+    for A, dirs in ((A_cl, []), (0.5 * eye2, [(D, 0.1)]),
+                    (0.5 * eye2, [(eye2, abs(bad))])):
+        assert not _mss_holds(A, dirs)
+        assert not solve_gle(A, dirs, eye2).mss
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lu_verdict_unstable_when_the_solve_overflows():
+    # the lift is finite, but the LU overflows and leaves NaN in X, which
+    # numpy's Cholesky factorization does not reject
+    A_cl = np.array([
+        [5.690987108742533e+153, 7.241484599608255e+153,
+         5.620507526949145e+153],
+        [-1.958698767253566e+152, 1.771163102708706e+153,
+         3.767012260917831e+153],
+        [-4.806982759842333e+153, 5.095060555535232e+153,
+         -8.357977991694836e+153],
+    ])
+    assert np.isfinite(_svec_lift(A_cl, [])).all()
+    assert not _mss_holds(A_cl, [])
+
+
+def test_mismatched_direction_shapes_raise():
+    one, two = np.eye(1), np.eye(2)
+    cases = [(one, [(two, 0.1)]),      # broadcast before the check
+             (two, [(np.eye(3), 0.1)]),
+             (two, [(np.ones((2, 1)), 0.1)]),
+             (two, [(np.eye(3), 0.0)]),  # a zero variance is no excuse
+             (np.ones((2, 3)), [])]
+    for A_cl, dirs in cases:
+        for f in (moment_operator, _svec_lift, _mss_holds,
+                  is_mean_square_stable):
+            with pytest.raises(DimensionError):
+                f(A_cl, dirs)
+        with pytest.raises(DimensionError):
+            solve_gle(A_cl, dirs, np.eye(A_cl.shape[0]))
+
+
+def test_gle_moment_radius_computed_when_first_read(monkeypatch):
+    calls = []
+    radius = stability.spectral_radius
+    monkeypatch.setattr(stability, "spectral_radius",
+                        lambda M: calls.append(1) or radius(M))
+    rng = np.random.default_rng(63)
+    A_cl, dirs = random_mss_instance(rng, 3, 2, 0.7)
+    calls.clear()
+    sol = solve_gle(A_cl, dirs, np.eye(3))
+    assert sol.mss and not calls
+    assert sol.moment_radius == pytest.approx(0.7, rel=1e-10)
+    assert sol.moment_radius == pytest.approx(0.7, rel=1e-10)
+    assert len(calls) == 1
