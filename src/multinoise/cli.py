@@ -4,7 +4,7 @@ Every subcommand reads a JSON problem document (except the built-in
 benchmark reproduction) and prints either a human-readable report or a
 machine-readable JSON document. Exit codes: 0 success, 1 infeasible or
 unstabilizable instance (a domain outcome, reported in the output), 2 bad
-input, 3 numerical failure.
+input, 3 numerical failure, or a solver limit reached without a verdict.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     UnstabilizableError,
 )
 from .gare import solve_gare
-from .margins import MarginMethod, compute_margins
+from .margins import MarginMethod, compute_margins, conservative_margins
 from .matops import spectral_radius
 from .model import PerturbationBox, closed_loop_substitution
 from .problems import (
@@ -157,9 +157,10 @@ def cmd_solve_gare(args) -> int:
     if sol.status == "iteration_cap":
         out["reason"] = (f"stopped at the iteration cap ({sol.iterations}) "
                          "before converging; stabilizability is undecided")
-    else:
-        out["reason"] = ("diverged: not mean-square stabilizable at these "
-                         "variances")
+        _emit(out, args.format)
+        return EXIT_NUMERICAL
+    out["reason"] = ("diverged: not mean-square stabilizable at these "
+                     "variances")
     _emit(out, args.format)
     return EXIT_INFEASIBLE
 
@@ -182,8 +183,6 @@ def cmd_margins(args) -> int:
         cert = compute_margins(method, problem.system.A, dirs, structure,
                                bisect_opts=problem.bisect_options)
     else:
-        from .margins import conservative_margins
-
         cert = conservative_margins(problem.system.A, dirs, None, method,
                                     bisect_opts=problem.bisect_options)
     _emit(certificate_to_dict(cert), args.format)
@@ -381,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="divergence threshold override")
     bisect = argparse.ArgumentParser(add_help=False)
     bisect.add_argument("--bisect-tol", type=float, default=None,
-                        help="bisection relative tolerance override")
+                        help="relative tolerance override of the bisections "
+                             "(margins --method aux and the designs); the "
+                             "other margin methods solve for their edge")
 
     p = sub.add_parser("check-mss", parents=[common],
                        help="decide mean-square stability of the open loop")

@@ -28,6 +28,7 @@ from .margins import (
     BisectOptions,
     MarginCertificate,
     MarginMethod,
+    _confirmed_edge,
     _margin_probe,
     bisect_max_feasible,
 )
@@ -83,7 +84,7 @@ class DesignResult:
 
     ``y_star`` is the margin scaling; ``z_star`` is the variance scaling of
     the first design or the dynamics scale factor of the second.
-    ``cap_hit`` flags a bisection bracket that grew to the cap, meaning the
+    ``cap_hit`` flags a search that reached the bracket cap, meaning the
     reported parameter is a lower bound on an unbounded quantity (e.g. a
     zero uncertainty direction) rather than a resolved maximum.
     """
@@ -181,7 +182,7 @@ def design_algorithm_1(
     Step 1 bisects the variance scale z, with per-direction variances
     proportional to the uncertainty weights, for the largest z* at which
     the Riccati solve still succeeds and yields a mean-square stable loop.
-    Step 2 takes the gain at z* and bisects the margin scale y on the
+    Step 2 takes the gain at z* and scales the margins y to the edge of the
     shared-quadratic-form inequality with constant term Q + K^T R K,
     evaluated on the closed loop with the input directions folded in.
     """
@@ -215,13 +216,9 @@ def design_algorithm_1(
     noise = noise_at(z_star)
     A_cl, dirs = closed_loop_substitution(sys, noise, K)
     q_term = costs.Q + K.T @ costs.R @ K
-    w = structure.weights
-    holds = _margin_probe(A_cl, dirs, q_term, P, w != 0.0)
-
-    def feasible_y(y: float) -> bool:
-        return holds(y * w)
-
-    y_star, y_cap = bisect_max_feasible(feasible_y, opts.bisect)
+    y_star, y_cap = _confirmed_edge(
+        *_margin_probe(A_cl, dirs, q_term, P, structure.weights),
+        opts.bisect.bracket_cap)
     box = PerturbationBox(
         eta=y_star * theta, psi=y_star * phi, bidirectional=False
     )

@@ -2,16 +2,17 @@
 
 Two families of certificates are produced. The shared-Lyapunov family fixes
 the positive definite solution P of the steady-state quadratic equation and
-bisects a scaling of the margin vector on a matrix inequality whose
+scales the margin vector to the edge of a matrix inequality whose
 feasibility proves that the same P certifies every perturbed plant in the
 box. The auxiliary-system family instead scales the dynamics up by
 sqrt(1 + sum of margins) and assigns each direction the matched variance;
 mean-square stability of that auxiliary system proves two-sided
 deterministic stability of the original plant.
 
-All bisections return the last parameter value that was actually evaluated
-feasible, never the midpoint of an unresolved bracket, so every returned
-certificate corresponds to a verified feasibility test.
+Shared-Lyapunov and single-direction edges are a quadratic pencil's largest
+real root, backed off until the method's own check confirms it; the aux
+margins bisect, returning the last value evaluated feasible. Either way
+every returned certificate corresponds to a verified feasibility test.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+import numpy.linalg as la
 
-from .errors import DimensionError, NotMeanSquareStableError, NumericalError
-from .matops import abs_part, is_psd, pos_part, symmetrize
+from .errors import DimensionError, NotMeanSquareStableError
+from .matops import abs_part, gen_eig_max, is_psd, pos_part, symmetrize
 from .model import DirList, PerturbationBox, UncertaintyStructure
 from .stability import _mss_holds, solve_gle
 
@@ -64,7 +66,8 @@ class BisectOptions:
     The bracket starts at [0, 1] and the upper end doubles until it turns
     infeasible; hitting ``bracket_cap`` is reported as a distinct
     ``cap_hit`` diagnostic (the margin is unbounded or degenerate) rather
-    than silently returned as a maximum.
+    than silently returned as a maximum. Margin methods other than ``aux``
+    solve for their edge and read only ``bracket_cap``.
     """
 
     rel_tol: float = 1e-6
@@ -125,31 +128,37 @@ def bisect_max_feasible(
     return lo, False
 
 
-def _bisect_min_feasible(
-    feasible: Callable[[float], bool],
-    abs_tol: float = 1e-9,
-    cap: float = 2.0 ** 60,
-) -> float:
-    """Smallest z >= 0 with ``feasible(z)`` true, for predicates monotone
-    nondecreasing in z; returns the feasible upper end of the final
-    bracket."""
-    if feasible(0.0):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while not feasible(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > cap:
-            raise NumericalError(
-                "auxiliary-scalar bisection found no feasible value"
-            )
-    while hi - lo > abs_tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _pencil_root(L, R1, R0) -> float:
+    """Largest real mu at which mu^2 L - mu R1 - R0 is singular, for R1, R0
+    positive semidefinite: the largest real eigenvalue of the 2n companion
+    [[R1~, R0~], [I, 0]] of the pencil whitened by the Cholesky factor of L
+    (Tisseur & Meerbergen, SIAM Review 2001); inf if L is not positive
+    definite. Above it the pencil is positive definite."""
+    try:
+        C = la.cholesky(L)
+    except la.LinAlgError:  # L singular along a direction: the edge y is 0
+        return math.inf
+    R1, R0 = (la.solve(C, la.solve(C, R).T).T for R in (R1, R0))
+    mu = la.eigvals(np.block([[R1, R0], [np.eye(len(C)), 0.0 * C]]))
+    # the largest real root is semisimple: its imaginary part is rounding
+    real = mu.real[np.abs(mu.imag) <= 1e-8 * np.abs(mu).max()]
+    return float(real.max()) if real.size else 0.0
+
+
+def _confirmed_edge(pencil, holds, cap: float) -> tuple[float, bool]:
+    """Largest y <= cap with L - y R1 - y^2 R0 >= 0 for the pencil
+    (L, R1, R0): 1/mu backed off by a relative 1e-9, tenfold further while
+    the method's check ``holds(y)`` fails, else 0, which nominal stability
+    proves. ``cap_hit`` means the check passes at the cap."""
+    mu = _pencil_root(*pencil)
+    edge = cap if mu * cap <= 1.0 else 1.0 / mu  # mu <= 0: no root
+    if edge == cap and holds(cap):
+        return cap, True
+    for k in range(9, 0, -1):
+        y = edge * (1.0 - 10.0 ** -k)
+        if y > 0.0 and holds(y):
+            return y, False
+    return 0.0, False
 
 
 def _sqrt_shift_gap(zeta: float, alpha: float) -> float:
@@ -187,24 +196,22 @@ def _margin_probe(
     dirs: DirList,
     Q_eff,
     P,
-    support,
+    w,
     bidirectional: bool = False,
-) -> Callable[[np.ndarray], bool]:
-    """Split the y-independent parts of the margin inequality once and
-    return the probe ``holds(eta)`` that weights them.
-
-    The parts are the left-hand side, the p first-order parts and the p^2
-    pair parts of the directions flagged in ``support``; ``eta`` must
-    vanish outside it. A probe adds the weighted parts in the same order
-    and skips the same zero entries as a direct evaluation, so every
-    verdict is bit-identical to splitting the terms afresh.
+) -> tuple[tuple[np.ndarray, ...], Callable[[float], bool]]:
+    """Split the y-independent parts of the margin inequality
+    L - y R1 - y^2 R0 >= 0 once; return its pencil (L, R1, R0) and the
+    probe ``holds(y)`` at eta = y * w. The parts are L, the first-order and
+    the pair parts of the directions with nonzero weight; a probe adds them
+    in the order of a direct evaluation, so every verdict is bit-identical
+    to splitting the terms afresh.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     P = symmetrize(P)
-    support = np.atleast_1d(np.asarray(support, dtype=bool))
-    if support.size != len(dirs):
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    if w.size != len(dirs):
         raise DimensionError(
-            f"got {support.size} margins for {len(dirs)} directions"
+            f"got {w.size} margins for {len(dirs)} directions"
         )
     part = abs_part if bidirectional else pos_part
     lhs = symmetrize(np.asarray(Q_eff, dtype=float)).copy()
@@ -212,7 +219,7 @@ def _margin_probe(
     for (D, a), Dm in zip(dirs, mats):
         if a != 0.0:
             lhs += a * (Dm.T @ P @ Dm)
-    active = np.flatnonzero(support).tolist()
+    active = np.flatnonzero(w).tolist()
     PA = P @ A_cl
     first = {i: part(mats[i].T @ PA + PA.T @ mats[i]) for i in active}
     pairs = {}
@@ -220,23 +227,19 @@ def _margin_probe(
         PDi = P @ mats[i]
         for j in active:
             pairs[i, j] = part(mats[j].T @ PDi + PDi.T @ mats[j])
+    R1 = sum((w[i] * F for i, F in first.items()), 0.0 * lhs)
+    R0 = sum((w[i] * w[j] * F for (i, j), F in pairs.items()), 0.0 * lhs)
 
-    def holds(eta: np.ndarray) -> bool:
+    def holds(y: float) -> bool:
+        eta = y * w
         rhs = np.zeros_like(lhs)
-        for i in active:
-            if eta[i] != 0.0:
-                rhs += eta[i] * first[i]
-        for i in active:
-            ei = eta[i]
-            if ei == 0.0:
-                continue
-            for j in active:
-                ej = eta[j]
-                if ej != 0.0:
-                    rhs += ei * ej * pairs[i, j]
+        for i, F in first.items():
+            rhs += eta[i] * F
+        for (i, j), F in pairs.items():
+            rhs += eta[i] * eta[j] * F
         return is_psd(lhs - rhs)
 
-    return holds
+    return (lhs, R1, R0), holds
 
 
 def nlmi_feasible(
@@ -257,8 +260,7 @@ def nlmi_feasible(
     the positive part is replaced by the matrix absolute value, which
     dominates both sign choices.
     """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    return _margin_probe(A_cl, dirs, Q_eff, P, eta != 0.0, bidirectional)(eta)
+    return _margin_probe(A_cl, dirs, Q_eff, P, eta, bidirectional)[1](1.0)
 
 
 def _check_q_eff(Q_eff, n: int) -> np.ndarray:
@@ -287,8 +289,8 @@ def shared_lyapunov_margins(
     """Maximal proportional margins certified by one quadratic form.
 
     Solves P = c * Q_eff + A_cl^T P A_cl + sum alpha_k D_k^T P D_k with c
-    the direction count, then bisects the scaling y of the margin vector
-    eta = y * weights on :func:`nlmi_feasible`. Requires Q_eff >= I and a
+    the direction count, then scales the margin vector eta = y * weights to
+    the edge of :func:`nlmi_feasible`. Requires Q_eff >= I and a
     mean-square stable instance.
     """
     A_cl = np.asarray(A_cl, dtype=float)
@@ -310,12 +312,9 @@ def shared_lyapunov_margins(
             f"(moment radius {sol.moment_radius:.6g})"
         )
     w = structure.weights
-    holds = _margin_probe(A_cl, dirs, q_term, sol.P, w != 0.0, bidirectional)
-
-    def feasible(y: float) -> bool:
-        return holds(y * w)
-
-    y_star, cap_hit = bisect_max_feasible(feasible, bisect_opts)
+    y_star, cap_hit = _confirmed_edge(
+        *_margin_probe(A_cl, dirs, q_term, sol.P, w, bidirectional),
+        (bisect_opts or BisectOptions()).bracket_cap)
     return MarginCertificate(
         box=_split_box(y_star * w, structure.p, bidirectional),
         method=MarginMethod.SHARED_BI if bidirectional else MarginMethod.SHARED_UNI,
@@ -341,6 +340,9 @@ def single_direction_margin(
     Finds the smallest zeta >= 0 satisfying the single-direction
     inequality and returns ``eta1 = sqrt(zeta^2 + alpha1) - zeta`` together
     with zeta. The margin is one-sided and never exceeds sqrt(alpha1).
+    zeta is (alpha1 t - 1/t) / 2 at the largest root t of the pencil
+    t^2 (Q_eff + alpha1 S) - t C - S, with S = A1'P A1 and C the positive
+    part of A_cl'P A1 + A1'P A_cl; inf if there is none.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     A1 = np.asarray(A1, dtype=float)
@@ -360,10 +362,18 @@ def single_direction_margin(
     P = sol.P
     DPD = A1.T @ P @ A1
     cross_plus = pos_part(A_cl.T @ P @ A1 + A1.T @ P @ A_cl)
-    zeta = _bisect_min_feasible(
-        lambda z: _single_dir_condition(z, alpha1, Q_eff, DPD, cross_plus),
-        abs_tol=1e-9,
+    y_zero = math.sqrt(alpha1)  # the y = 1/t at which zeta is 0
+
+    def zeta_at(y: float) -> float:
+        return 0.5 * (alpha1 / y - y) if y < y_zero else 0.0
+
+    y, _ = _confirmed_edge(
+        (Q_eff + alpha1 * DPD, cross_plus, DPD),
+        lambda y: _single_dir_condition(zeta_at(y), alpha1, Q_eff, DPD,
+                                        cross_plus),
+        y_zero,
     )
+    zeta = zeta_at(y) if y > 0.0 else math.inf
     return _sqrt_shift_gap(zeta, alpha1), zeta
 
 
@@ -374,8 +384,6 @@ def conservative_margin_linearized(
     linearizing the coefficient function about zero (a global
     underestimator, hence conservative). The returned zeta satisfies the
     single-direction inequality."""
-    from .matops import gen_eig_max
-
     A_cl = np.asarray(A_cl, dtype=float)
     A_i = np.asarray(A_i, dtype=float)
     P = symmetrize(P)
@@ -393,8 +401,6 @@ def conservative_margin_linearized(
 def conservative_margin_simple(A_cl, A_i, P, Q_eff, alpha_i: float) -> float:
     """Auxiliary scalar from the crudest generalized eigenvalue bound,
     which additionally discards the helpful quadratic direction term."""
-    from .matops import gen_eig_max
-
     A_cl = np.asarray(A_cl, dtype=float)
     A_i = np.asarray(A_i, dtype=float)
     P = symmetrize(P)
@@ -423,8 +429,8 @@ def conservative_margins(
     lemma and the per-direction envelope
     eta_bar_k = sqrt(zeta_k^2 + alpha_k) - zeta_k. With a single direction
     the envelope itself is the certified (one-sided) margin. With several,
-    margins proportional to the envelopes are bisected on the joint matrix
-    inequality and additionally capped at the envelopes, which keeps every
+    margins proportional to the envelopes are scaled to the edge of the
+    joint matrix inequality, capped at the envelopes, which keeps every
     margin at or below its single-direction bound.
     """
     if kind not in (MarginMethod.CONS_LINEARIZED, MarginMethod.CONS_SIMPLE):
@@ -468,13 +474,9 @@ def conservative_margins(
         y_star = total
     else:
         w = caps / total
-        holds = _margin_probe(A_cl, dirs, q_term, P, w != 0.0)
-
-        def feasible(y: float) -> bool:
-            return holds(y * w)
-
-        y_nlmi, _ = bisect_max_feasible(feasible, bisect_opts)
-        y_star = min(y_nlmi, total)
+        cap = min(total, (bisect_opts or BisectOptions()).bracket_cap)
+        y_star, _ = _confirmed_edge(*_margin_probe(A_cl, dirs, q_term, P, w),
+                                    cap)
         bounds = y_star * w
     return MarginCertificate(
         box=_split_box(bounds, n_state_dirs, False),

@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import numpy.linalg as la
 import pytest
 
 from multinoise import (
+    BisectOptions,
     DesignOptions,
     certainty_equivalent,
     design_algorithm_1,
     design_algorithm_2,
     inverted_pendulum,
     moment_operator,
+    nlmi_feasible,
     spectral_radius,
     symmetrize,
 )
+from multinoise.margins import bisect_max_feasible
 from multinoise.matops import abs_part, pos_part
 
 
@@ -56,6 +61,48 @@ def direct_value_step(P_t, sys, noise, costs):
         G = G + b * (D.T @ P @ D)
     BtPA = B.T @ P @ A
     return symmetrize(S - BtPA.T @ la.solve(G, BtPA))
+
+
+def bisect_min_feasible(feasible, abs_tol=1e-9, cap=2.0 ** 60):
+    """Smallest z >= 0 with ``feasible(z)`` true, for predicates monotone
+    nondecreasing in z; returns the feasible upper end of the final
+    bracket.
+
+    An oracle for the single-direction auxiliary scalar, which the library
+    takes from the root of a quadratic pencil instead of bisecting.
+    """
+    if feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while not feasible(hi):
+        lo = hi
+        hi *= 2.0
+        assert hi <= cap, "no feasible value below the cap"
+    while hi - lo > abs_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float left between the ends
+            break
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def nlmi_bracket(A_cl, dirs, q_matrix, P, w, bidirectional=False):
+    """Final bracket of a bisection at rel_tol 1e-9 on ``nlmi_feasible``
+    at eta = y * w: the feasible end, the smallest infeasible probe (inf if
+    none) and the cap flag."""
+    infeasible = [math.inf]
+
+    def feasible(y):
+        ok = nlmi_feasible(A_cl, dirs, q_matrix, P, y * w, bidirectional)
+        if not ok:
+            infeasible.append(y)
+        return ok
+
+    lo, cap_hit = bisect_max_feasible(feasible, BisectOptions(rel_tol=1e-9))
+    return lo, min(infeasible), cap_hit
 
 
 def direct_margin_matrix(A_cl, dirs, Q_eff, P, eta, bidirectional=False):

@@ -39,10 +39,14 @@ from multinoise import (
     solve_gle,
     symmetrize,
 )
-from multinoise.margins import _bisect_min_feasible, _single_dir_condition
+from multinoise.margins import _single_dir_condition
 from multinoise.matops import pos_part, unvec, vec
 
-from conftest import direct_value_step, random_mss_instance
+from conftest import (
+    bisect_min_feasible,
+    direct_value_step,
+    random_mss_instance,
+)
 
 TIGHT_BISECT = BisectOptions(rel_tol=1e-9)
 
@@ -291,7 +295,7 @@ def test_criterion_8a_envelope_bound():
         for D, a in dirs:
             DPD = D.T @ P @ D
             cross = pos_part(A_cl.T @ P @ D + D.T @ P @ A_cl)
-            z = _bisect_min_feasible(
+            z = bisect_min_feasible(
                 lambda zz: _single_dir_condition(zz, a, Q, DPD, cross)
             )
             zetas.append(z)

@@ -28,14 +28,18 @@ from multinoise import (
     spectral_radius,
 )
 from multinoise.margins import (
-    _bisect_min_feasible,
     bisect_max_feasible,
     _single_dir_condition,
     _sqrt_shift_gap,
 )
 from multinoise.matops import pos_part
 
-from conftest import direct_margin_matrix, random_mss_instance
+from conftest import (
+    bisect_min_feasible,
+    direct_margin_matrix,
+    nlmi_bracket,
+    random_mss_instance,
+)
 
 TIGHT = BisectOptions(rel_tol=1e-9)
 ONE = np.array([[1.0]])
@@ -229,6 +233,26 @@ def test_single_direction_certificate_inequality_and_soundness():
             M = perturbed_matrix(A_cl, dirs, [mu])
             assert is_psd(P - M.T @ P @ M)
             assert spectral_radius(M) < 1.0
+
+
+def test_single_direction_without_finite_zeta_returns_zero_margin(
+        monkeypatch):
+    # Q_eff + alpha D'PD is singular along e2, where the cross term is
+    # positive, so no finite zeta passes the exact inequality; the probe
+    # budget turns a search that never ends into a failure
+    probes = []
+    check = margins_mod._single_dir_condition
+
+    def counted(zeta, *args):
+        probes.append(zeta)
+        assert len(probes) < 1000, "zeta search did not end"
+        return check(zeta, *args)
+
+    monkeypatch.setattr(margins_mod, "_single_dir_condition", counted)
+    A_cl = 0.5 * np.array([[0.6, 0.8], [-0.8, 0.6]])
+    eta, zeta = single_direction_margin(A_cl, np.diag([1.0, 0.0]), 0.2,
+                                        np.diag([1.0, 0.0]))
+    assert eta == 0.0 and zeta == math.inf
 
 
 def test_single_direction_requires_mss():
@@ -429,7 +453,7 @@ def test_proportional_envelope_ordering():
         for D, a in dirs:
             DPD = D.T @ P @ D
             cross = pos_part(A_cl.T @ P @ D + D.T @ P @ A_cl)
-            z = _bisect_min_feasible(
+            z = bisect_min_feasible(
                 lambda zz: _single_dir_condition(zz, a, Q, DPD, cross)
             )
             zetas.append(z)
@@ -516,9 +540,11 @@ def test_bisect_max_feasible_ends_at_float_resolution():
 
 # ------------------------------------------- inequality split per certificate
 #
-# The margin bisections split the y-independent parts of the inequality once
-# per certificate; these tests pin that the probes still decide exactly like
-# nlmi_feasible, and that the split count no longer grows with the probes.
+# The margin scalings split the y-independent parts of the inequality once
+# per certificate and take their edge from the root of its quadratic pencil;
+# these tests pin that the probes still decide exactly like nlmi_feasible,
+# that the confirmed root lies in the bracket of a fine bisection on
+# nlmi_feasible, and that the split count does not grow with the probes.
 
 def _split_instances(seed, p, count=4):
     """Seeded instances with p directions and their weights; from p = 2 on,
@@ -535,12 +561,6 @@ def _split_instances(seed, p, count=4):
         yield A_cl, dirs, structure
 
 
-def _nlmi_bisection(A_cl, dirs, q_matrix, P, w, bidirectional):
-    return bisect_max_feasible(
-        lambda y: nlmi_feasible(A_cl, dirs, q_matrix, P, y * w, bidirectional)
-    )
-
-
 def _record_psd_checks(monkeypatch):
     """Every matrix the margin module hands to is_psd, in call order."""
     seen = []
@@ -555,6 +575,22 @@ def _assert_same_bits(mats, ref_mats):
     assert len(mats) == len(ref_mats)
     for M, R in zip(mats, ref_mats):
         assert M.tobytes() == R.tobytes()
+
+
+def _assert_confirmed_in_bracket(seen, A_cl, dirs, cert, w, bidirectional,
+                                 cap=math.inf):
+    # the last check the library ran confirmed the returned box, on the
+    # same matrix as nlmi_feasible at that box, and the box lies in the
+    # final bracket of a fine bisection (capped at cap), less the root's
+    # back-off
+    confirmed = seen[-1]
+    seen.clear()
+    assert nlmi_feasible(A_cl, dirs, cert.q_matrix, cert.P, cert.box.bounds,
+                         bidirectional)
+    _assert_same_bits([confirmed], seen)
+    lo, hi, _ = nlmi_bracket(A_cl, dirs, cert.q_matrix, cert.P, w,
+                             bidirectional)
+    assert min(lo, cap) * (1 - 1e-8) <= cert.y_star <= min(hi, cap)
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
@@ -582,20 +618,13 @@ def test_nlmi_probe_matrix_matches_direct_form_bitwise(monkeypatch,
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_shared_margins_match_nlmi_bisection_bitwise(monkeypatch, p,
                                                      bidirectional):
-    # the same probes, on the same matrices to the bit, as bisecting on
-    # nlmi_feasible itself
     seen = _record_psd_checks(monkeypatch)
     for A_cl, dirs, structure in _split_instances(40 + p, p):
-        seen.clear()
         cert = shared_lyapunov_margins(A_cl, dirs, None, structure,
                                        bidirectional)
-        probed = seen[1:]  # the first check is Q_eff >= I
-        seen.clear()
-        y_ref, cap_ref = _nlmi_bisection(A_cl, dirs, cert.q_matrix, cert.P,
-                                         structure.weights, bidirectional)
-        _assert_same_bits(probed, seen)
-        assert cert.y_star.hex() == y_ref.hex()
-        assert cert.cap_hit == cap_ref
+        assert not cert.cap_hit
+        _assert_confirmed_in_bracket(seen, A_cl, dirs, cert,
+                                     structure.weights, bidirectional)
 
 
 @pytest.mark.parametrize("kind", [MarginMethod.CONS_LINEARIZED,
@@ -610,18 +639,44 @@ def test_conservative_margins_match_nlmi_bisection_bitwise(monkeypatch, p,
         A_cl, dirs = random_mss_instance(rng, n, p, rng.uniform(0.3, 0.9))
         if k % 2:  # a zero variance gives its direction zero weight
             dirs[-1] = (dirs[-1][0], 0.0)
-        seen.clear()
         cert = conservative_margins(A_cl, dirs, None, kind)
-        probed = list(seen)
         caps = np.array([_sqrt_shift_gap(z, a) if a > 0.0 else 0.0
                          for z, (_, a) in zip(cert.zeta, dirs)])
         total = float(caps.sum())
         assert total > 0.0
-        seen.clear()
-        y_nlmi, _ = _nlmi_bisection(A_cl, dirs, cert.q_matrix, cert.P,
-                                    caps / total, False)
-        _assert_same_bits(probed, seen)
-        assert cert.y_star.hex() == min(y_nlmi, total).hex()
+        _assert_confirmed_in_bracket(seen, A_cl, dirs, cert, caps / total,
+                                     False, cap=total)
+
+
+def test_root_overshoot_is_backed_off_until_confirmed(monkeypatch):
+    # a root 10% past the edge fails the first checks; the certificates
+    # returned after backing off still pass their defining checks
+    root = margins_mod._pencil_root
+    monkeypatch.setattr(margins_mod, "_pencil_root",
+                        lambda *pencil: root(*pencil) / 1.1)
+    seen = _record_psd_checks(monkeypatch)
+    rng = np.random.default_rng(37)
+    cases = [random_mss_instance(rng, 3, p, 0.7) for p in (1, 2)]
+    for A_cl, dirs in cases:
+        structure = UncertaintyStructure(theta=[1.0] * len(dirs))
+        for bidirectional in (False, True):
+            seen.clear()
+            cert = shared_lyapunov_margins(A_cl, dirs, None, structure,
+                                           bidirectional)
+            assert len(seen) > 2  # Q_eff >= I, then more than one probe
+            assert cert.y_star > 0.0 and not cert.cap_hit
+            assert nlmi_feasible(A_cl, dirs, cert.q_matrix, cert.P,
+                                 cert.box.bounds, bidirectional)
+    # on this loop zeta binds with room: 1.1 times the margin stays below
+    # sqrt(alpha), so the overshoot is not cut off at zeta = 0
+    A_cl, ((A1, a1),) = cases[0]
+    seen.clear()
+    eta, zeta = single_direction_margin(A_cl, A1, a1)
+    assert len(seen) > 1 and 1.1 * eta < math.sqrt(a1)
+    P = solve_gle(A_cl, [(A1, a1)], np.eye(3)).P
+    assert _single_dir_condition(zeta, a1, np.eye(3), A1.T @ P @ A1,
+                                 pos_part(A_cl.T @ P @ A1 + A1.T @ P @ A_cl))
+    assert eta == _sqrt_shift_gap(zeta, a1)
 
 
 def _count_splits(monkeypatch):

@@ -1,13 +1,32 @@
-"""Property tests of the svec lift and the LU stability verdict."""
+"""Property tests of the svec lift, the LU stability verdict and the
+pencil-root margins."""
 
 import numpy as np
+import numpy.linalg as la
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multinoise import is_mean_square_stable, moment_operator, spectral_radius
+from multinoise import (
+    UncertaintyStructure,
+    is_mean_square_stable,
+    moment_operator,
+    nlmi_feasible,
+    shared_lyapunov_margins,
+    single_direction_margin,
+    solve_gle,
+    spectral_radius,
+)
+from multinoise.margins import _single_dir_condition
+from multinoise.matops import pos_part
 from multinoise.stability import _mss_holds, _svec_lift
 
-from conftest import VERDICT_BAND
+from conftest import (
+    VERDICT_BAND,
+    bisect_min_feasible,
+    direct_margin_matrix,
+    nlmi_bracket,
+    random_mss_instance,
+)
 
 #: derandomized, so that every run draws the same examples
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -47,3 +66,73 @@ def test_lu_verdict_agrees_with_radius_outside_band(instance, target):
     A_cl, dirs = s * A0, [(D, s * s * a) for D, a in dirs0]
     mss, _ = is_mean_square_stable(A_cl, dirs)
     assert _mss_holds(A_cl, dirs) == mss == (target < 1.0)
+
+
+@st.composite
+def margin_instances(draw):
+    """A seeded mean-square stable closed loop, n in 1..4 with 1-3
+    directions at moment radius at most 0.95, and positive weights."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A_cl, dirs = random_mss_instance(rng, n, p, draw(st.floats(0.05, 0.95)))
+    return A_cl, dirs, rng.uniform(0.2, 1.0, size=p)
+
+
+def _tolerance_floor(y_tol, L, S, scale=1.0):
+    """Lower bound on the exact edge of L - y R1 - y^2 R0 >= 0, given that
+    its matrix S at y_tol passed is_psd under the default tolerance
+    1e-9 * max(1, ||S||) after division by ``scale``.
+
+    lambda_min of the concave matrix function is concave in y, at least
+    lambda_min(L) at 0 and at least -tau at y_tol, so it stays positive
+    below y_tol * lambda_min(L) / (lambda_min(L) + tau).
+    """
+    lam = la.eigvalsh(L)[0]
+    tau = scale * 1e-9 * max(1.0, np.abs(la.eigvalsh(S / scale)).max())
+    return y_tol * lam / (lam + tau)
+
+
+@PROPERTY
+@given(margin_instances(), st.booleans())
+def test_shared_margin_root_in_bisection_bracket(instance, bidirectional):
+    # the root passes nlmi_feasible at its box and lies in the final bracket
+    # of the rel_tol 1e-9 bisection, whose feasible end may sit beyond the
+    # exact edge by the is_psd tolerance
+    A_cl, dirs, theta = instance
+    structure = UncertaintyStructure(theta=theta)
+    cert = shared_lyapunov_margins(A_cl, dirs, None, structure,
+                                   bidirectional)
+    w = structure.weights
+    assert nlmi_feasible(A_cl, dirs, cert.q_matrix, cert.P, cert.box.bounds,
+                         bidirectional)
+    lo, hi, _ = nlmi_bracket(A_cl, dirs, cert.q_matrix, cert.P, w,
+                             bidirectional)
+    L = direct_margin_matrix(A_cl, dirs, cert.q_matrix, cert.P, 0.0 * w)
+    S = direct_margin_matrix(A_cl, dirs, cert.q_matrix, cert.P, lo * w,
+                             bidirectional)
+    assert _tolerance_floor(lo, L, S) * (1 - 1e-8) <= cert.y_star <= hi
+
+
+@PROPERTY
+@given(margin_instances())
+def test_single_direction_root_matches_bisection(instance):
+    # zeta passes its defining check, no smaller zeta passes the bisection
+    # oracle, and the margin eta = 1/t sits at the oracle's, less the
+    # is_psd tolerance; the check's matrix is t (L - eta C - eta^2 D'PD)
+    A_cl, ((D, alpha), *_), _ = instance
+    n = A_cl.shape[0]
+    Q = np.eye(n)
+    eta, zeta = single_direction_margin(A_cl, D, alpha, Q)
+    P = solve_gle(A_cl, [(D, alpha)], Q).P
+    DPD = D.T @ P @ D
+    cross = pos_part(A_cl.T @ P @ D + D.T @ P @ A_cl)
+    assert _single_dir_condition(zeta, alpha, Q, DPD, cross)
+    z_ref = bisect_min_feasible(
+        lambda z: _single_dir_condition(z, alpha, Q, DPD, cross),
+        abs_tol=1e-12)
+    assert zeta >= z_ref - 1e-12
+    eta_ref = np.sqrt(z_ref * z_ref + alpha) - z_ref
+    L = Q + alpha * DPD
+    S = L - eta_ref * cross - eta_ref ** 2 * DPD
+    assert eta >= _tolerance_floor(eta_ref, L, S, eta_ref) * (1 - 1e-8)
