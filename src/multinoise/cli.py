@@ -243,6 +243,7 @@ def cmd_verify_grid(args) -> int:
         "worst_rho": report.worst_rho,
         "worst_mu": report.worst_mu.tolist(),
         "all_stable": report.all_stable,
+        "eigensolves": report.eigensolves,
     }, args.format)
     return EXIT_OK if report.all_stable else EXIT_INFEASIBLE
 

@@ -18,6 +18,7 @@ from multinoise import (
 )
 from multinoise.margins import bisect_max_feasible
 from multinoise.matops import abs_part, pos_part
+from multinoise.verify import _grid_axes
 
 
 #: The LU stability verdict and the eigenvalue-radius verdict are both
@@ -134,6 +135,45 @@ def direct_margin_matrix(A_cl, dirs, Q_eff, P, eta, bidirectional=False):
             if ej != 0.0:
                 rhs += ei * ej * part(Dj.T @ PDi + PDi.T @ Dj)
     return lhs - rhs
+
+
+def full_grid_sweep(A_cl, dirs, box, samples_per_dir):
+    """(samples, worst_rho, worst_mu, all_stable) of an eigen-solve at every
+    point of the tensor grid, in chunks of 65536 points in grid order; the
+    first point in grid order wins a tie.
+
+    An oracle for ``grid_verify``, which solves only the points that its
+    radius bound cannot rule out; the two share only the grid axes.
+    """
+    A_cl = np.asarray(A_cl, dtype=float)
+    axes = _grid_axes(box, samples_per_dir)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    combos = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    D = np.stack([np.asarray(M, dtype=float) for M, _ in dirs])
+    worst = -np.inf
+    worst_mu = combos[0]
+    chunk = 65536
+    for start in range(0, combos.shape[0], chunk):
+        part = combos[start:start + chunk]
+        mats = A_cl[None, :, :] + np.tensordot(part, D, axes=(1, 0))
+        rho = np.abs(la.eigvals(mats)).max(axis=1)
+        idx = int(np.argmax(rho))
+        if rho[idx] > worst:
+            worst = float(rho[idx])
+            worst_mu = part[idx].copy()
+    return int(combos.shape[0]), worst, worst_mu, worst < 1.0
+
+
+def assert_sweep_matches_oracle(report, A_cl, dirs, box, samples_per_dir):
+    """The report equals the full sweep's bit for bit."""
+    samples, worst, worst_mu, stable = full_grid_sweep(A_cl, dirs, box,
+                                                       samples_per_dir)
+    assert report.samples == samples
+    assert report.worst_rho.hex() == worst.hex()
+    assert report.worst_mu.dtype == worst_mu.dtype
+    assert report.worst_mu.tobytes() == worst_mu.tobytes()
+    assert report.all_stable == stable
+    assert 1 <= report.eigensolves <= samples
 
 
 @pytest.fixture(scope="session")

@@ -166,6 +166,7 @@ def test_design_then_verify_grid_round_trip(tmp_path, capsys):
     assert code == 0
     assert report["all_stable"] is True
     assert report["worst_rho"] == pytest.approx(0.841, abs=0.02)
+    assert 1 <= report["eigensolves"] < report["samples"] == 2000
 
 
 def test_verify_grid_unsound_certificate_exit_one(tmp_path, capsys):

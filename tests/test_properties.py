@@ -1,13 +1,18 @@
-"""Property tests of the svec lift, the LU stability verdict and the
-pencil-root margins."""
+"""Property tests of the svec lift, the LU stability verdict, the
+pencil-root margins and the bound-then-solve grid sweep."""
+
+from unittest import mock
 
 import numpy as np
 import numpy.linalg as la
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import multinoise.verify
 from multinoise import (
+    PerturbationBox,
     UncertaintyStructure,
+    grid_verify,
     is_mean_square_stable,
     moment_operator,
     nlmi_feasible,
@@ -19,9 +24,11 @@ from multinoise import (
 from multinoise.margins import _single_dir_condition
 from multinoise.matops import pos_part
 from multinoise.stability import _mss_holds, _svec_lift
+from multinoise.verify import _radius_bounds
 
 from conftest import (
     VERDICT_BAND,
+    assert_sweep_matches_oracle,
     bisect_min_feasible,
     direct_margin_matrix,
     nlmi_bracket,
@@ -136,3 +143,49 @@ def test_single_direction_root_matches_bisection(instance):
     L = Q + alpha * DPD
     S = L - eta_ref * cross - eta_ref ** 2 * DPD
     assert eta >= _tolerance_floor(eta_ref, L, S, eta_ref) * (1 - 1e-8)
+
+
+@st.composite
+def grid_instances(draw):
+    """A seeded closed loop, n in 1..4 with 1-3 directions, a box in either
+    mode with bounds that may be zero, and at most about 3000 grid points."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A_cl = draw(st.floats(0.1, 2.0)) * rng.normal(size=(n, n))
+    dirs = [(rng.normal(size=(n, n)), 1.0) for _ in range(p)]
+    bounds = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                           min_size=p, max_size=p))
+    box = PerturbationBox(eta=bounds, psi=[], bidirectional=draw(st.booleans()))
+    samples = draw(st.integers(2, max(2, int(3000 ** (1 / p)))))
+    return A_cl, dirs, box, samples
+
+
+@PROPERTY
+@given(grid_instances(), st.sampled_from([1, 100, 65536]))
+def test_grid_sweep_matches_full_sweep_bitwise(instance, block_entries):
+    # blocks of one entry make every point a seed, 100 entries give many
+    # seeds, and the library's blocks at most a few per grid here
+    A_cl, dirs, box, samples = instance
+    with mock.patch.object(multinoise.verify, "_BLOCK_ENTRIES",
+                           block_entries):
+        report = grid_verify(A_cl, dirs, box, samples)
+    assert_sweep_matches_oracle(report, A_cl, dirs, box, samples)
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(-300, 300),
+       st.booleans())
+def test_radius_bound_lies_above_the_radius(n, seed, exponent, symmetric):
+    # an inf or NaN bound is no bound: the sweep solves such points
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(16, n, n))
+    if symmetric:
+        M = M + M.transpose(0, 2, 1)
+    M *= 10.0 ** exponent
+    ub = _radius_bounds(M)
+    rho = np.abs(la.eigvals(M)).max(axis=1)
+    assert not np.any(ub < rho * (1 - 1e-12))
+    if symmetric and abs(exponent) <= 100:
+        # ||N^64||_F <= sqrt(n) rho(N)^64 for symmetric N
+        assert np.all(ub <= 1.02 * rho)

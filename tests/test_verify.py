@@ -2,7 +2,9 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
+import multinoise.verify
 from multinoise import (
+    DimensionError,
     GridSizeError,
     MonteCarloConfig,
     PerturbationBox,
@@ -15,7 +17,7 @@ from multinoise import (
 from multinoise.matops import vec
 from multinoise.verify import exact_moment_recursion
 
-from conftest import random_mss_instance
+from conftest import assert_sweep_matches_oracle, random_mss_instance
 
 ONE = np.array([[1.0]])
 
@@ -42,6 +44,8 @@ def test_grid_verify_pendulum_boxes(pendulum, pendulum_alg1, pendulum_alg2):
         assert report.all_stable
         assert report.worst_rho == pytest.approx(expected, abs=0.02)
         assert report.samples == 10_000
+        # the radius bound rules out most of the box
+        assert report.eigensolves < report.samples // 10
 
 
 def test_grid_verify_detects_unstable_box():
@@ -65,6 +69,48 @@ def test_grid_verify_chunked_two_directions():
         A_cl + report.worst_mu[0] * dirs[0][0] + report.worst_mu[1] * dirs[1][0]
     )
     assert report.worst_rho == pytest.approx(direct, rel=1e-12)
+    assert_sweep_matches_oracle(report, A_cl, dirs, box, 300)
+
+
+_LOWER = np.array([[0.0, 0.0], [1.0, 0.0]])
+_GENERIC = np.array([[0.5, 0.2, 0.0], [-0.3, 0.4, 0.1], [0.0, 0.2, 0.6]])
+
+
+@pytest.mark.parametrize("A_cl, mats, eta, bidirectional", [
+    # a zero direction: every point ties, the first grid point wins
+    (_GENERIC, [np.zeros((3, 3))], [0.4], False),
+    (_GENERIC, [np.zeros((3, 3))], [0.4], True),
+    # a zero-bound direction contributes the single point 0
+    (_GENERIC, [np.eye(3), _GENERIC.T], [0.3, 0.0], True),
+    # an unstable box
+    (_GENERIC, [np.eye(3)], [0.8], False),
+    # non-normal blocks: at 1e6 the bound's powers underflow and every
+    # point is solved, at 30 the bound still rules points out
+    (np.array([[0.5, 1e6], [0.0, 0.4]]), [1e-8 * _LOWER], [1.0], True),
+    (np.array([[0.5, 30.0], [0.0, 0.4]]), [1e-3 * _LOWER, np.eye(2)],
+     [1.0, 0.05], False),
+    # entries near underflow and near overflow
+    (1e-200 * _GENERIC, [1e-200 * np.eye(3)], [0.5], True),
+    (1e200 * _GENERIC, [1e200 * np.eye(3)], [0.5], True),
+], ids=["zero-dir", "zero-dir-bi", "zero-bound", "unstable", "non-normal",
+        "non-normal-two", "tiny", "huge"])
+def test_grid_sweep_matches_full_sweep_on_edge_cases(A_cl, mats, eta,
+                                                     bidirectional):
+    dirs = [(D, 1.0) for D in mats]
+    box = PerturbationBox(eta=eta, psi=[], bidirectional=bidirectional)
+    report = grid_verify(A_cl, dirs, box, 60)
+    assert_sweep_matches_oracle(report, A_cl, dirs, box, 60)
+    if not mats[0].any():
+        first = multinoise.verify._grid_axes(box, 60)[0][0]
+        assert report.worst_mu[0] == first
+
+
+def test_grid_verify_rejects_misshaped_direction():
+    # a 1x1 direction would broadcast over the 2x2 loop
+    box = PerturbationBox(eta=[0.5, 0.5], psi=[], bidirectional=False)
+    dirs = [(np.eye(2), 1.0), (ONE, 1.0)]
+    with pytest.raises(DimensionError, match="direction 1"):
+        grid_verify(0.3 * np.eye(2), dirs, box, 10)
 
 
 def test_grid_verify_size_limit():
@@ -161,3 +207,31 @@ def test_rademacher_law_has_modeled_variance():
     # after one step the state is gamma * x0 with Var(gamma) = 0.25
     assert hist.empirical[1][0, 0] == pytest.approx(0.25, rel=0.05)
     assert hist.exact[1][0, 0] == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+def test_monte_carlo_blocks_match_one_block(monkeypatch, law):
+    # one trial past a block: the sums of two blocks against one pass
+    rng = np.random.default_rng(56)
+    A_cl, dirs = random_mss_instance(rng, 3, 2, 0.8)
+    cfg = MonteCarloConfig(horizon=20, trials=multinoise.verify._MC_BLOCK + 1,
+                           seed=11, noise_law=law)
+    blocked = simulate_second_moment(A_cl, dirs, cfg, np.eye(3)).empirical
+    monkeypatch.setattr(multinoise.verify, "_MC_BLOCK", cfg.trials)
+    whole = simulate_second_moment(A_cl, dirs, cfg, np.eye(3)).empirical
+    for B, W in zip(blocked, whole):
+        assert la.norm(B - W) <= 1e-12 * la.norm(W)
+
+
+@pytest.mark.parametrize("variance", [-0.1, float("nan"), float("inf")])
+def test_monte_carlo_rejects_bad_variance(variance):
+    cfg = MonteCarloConfig(horizon=2, trials=2, seed=0)
+    dirs = [(ONE, 0.1), (ONE, variance)]
+    with pytest.raises(ValueError, match="direction 1"):
+        simulate_second_moment(0.5 * ONE, dirs, cfg, ONE)
+
+
+def test_monte_carlo_rejects_misshaped_direction():
+    cfg = MonteCarloConfig(horizon=2, trials=2, seed=0)
+    with pytest.raises(DimensionError, match="direction 0"):
+        simulate_second_moment(0.5 * np.eye(2), [(ONE, 0.1)], cfg, np.eye(2))
