@@ -81,8 +81,14 @@ class MonteCarloConfig:
     noise_law: str = "gaussian"
 
     def __post_init__(self):
-        if self.horizon < 1 or self.trials < 1:
-            raise ValueError("horizon and trials must be >= 1")
+        for name, least in (("horizon", 1), ("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool)):
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.noise_law not in ("gaussian", "rademacher"):
             raise ValueError(
                 f"unknown noise law {self.noise_law!r}; "
@@ -306,6 +312,13 @@ def exact_moment_recursion(
     return out
 
 
+def _trial_generator(seed: int, trial: int) -> np.random.Generator:
+    """The generator of one trial: the child ``trial`` of
+    ``SeedSequence(seed).spawn``, built without the children before it."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(trial,))))
+
+
 def simulate_second_moment(
     A_cl, dirs: DirList, cfg: MonteCarloConfig, x0_cov
 ) -> MomentHistory:
@@ -328,37 +341,49 @@ def simulate_second_moment(
     x0_cov = symmetrize(x0_cov)
     if x0_cov.shape != (n, n):
         raise DimensionError(f"x0_cov must be {n}x{n}, got {x0_cov.shape}")
+    if not np.all(np.isfinite(x0_cov)):
+        raise ValueError("x0_cov must be finite")
     if not is_psd(x0_cov):
         raise ValueError("x0_cov must be positive semidefinite")
     k = len(dirs)
     stds = np.sqrt(np.array([v for _, v in dirs])) if k else np.zeros(0)
     Lx = _psd_sqrt(x0_cov)
+    gaussian = cfg.noise_law == "gaussian"
 
-    # trials run in blocks of _MC_BLOCK, so memory does not grow with the
-    # trial count; the sums of x x^T are divided once at the end
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    # One product per step: the states of a block are the columns of X; the
+    # first n rows of W X are A_cl X, and the j-th n rows after them D_j X.
+    # Trials run in blocks of _MC_BLOCK, each building its own streams, so
+    # memory does not grow with the trial count; the sums of x x^T are
+    # divided once at the end.
+    W = np.concatenate([A_cl[None], D]).reshape((k + 1) * n, n)
+    size = min(cfg.trials, _MC_BLOCK)
+    Z = np.empty((size, n))
+    noise = np.empty((size, cfg.horizon, k))
     sums = np.zeros((cfg.horizon + 1, n, n))
     for start in range(0, cfg.trials, _MC_BLOCK):
-        block = streams[start:start + _MC_BLOCK]
-        X = np.zeros((len(block), n))
-        noise = np.zeros((len(block), cfg.horizon, k))
-        for i, child in enumerate(block):
-            rng = np.random.Generator(np.random.PCG64(child))
-            X[i] = Lx @ rng.standard_normal(n)
+        b = min(_MC_BLOCK, cfg.trials - start)
+        for i in range(b):
+            rng = _trial_generator(cfg.seed, start + i)
+            rng.standard_normal(out=Z[i])
             if k:
-                if cfg.noise_law == "gaussian":
-                    noise[i] = rng.standard_normal((cfg.horizon, k)) * stds
+                if gaussian:
+                    rng.standard_normal(out=noise[i])
                 else:
-                    signs = rng.integers(0, 2, size=(cfg.horizon, k)) * 2 - 1
-                    noise[i] = signs * stds
-        sums[0] += np.einsum("ti,tj->ij", X, X)
+                    noise[i] = rng.integers(0, 2, size=(cfg.horizon, k))
+        # gamma[t, j] holds the noise of direction j at step t per trial
+        gamma = np.ascontiguousarray(noise[:b].transpose(1, 2, 0))
+        if not gaussian:
+            gamma *= 2.0
+            gamma -= 1.0
+        gamma *= stds[:, None]
+        X = Lx @ Z[:b].T
+        sums[0] += X @ X.T
         for t in range(cfg.horizon):
-            Xn = X @ A_cl.T
-            if k:
-                # gamma_{t,k} * (D_k x_t), summed over directions per trial
-                Xn = Xn + np.einsum("tk,kij,tj->ti", noise[:, t, :], D, X)
-            X = Xn
-            sums[t + 1] += np.einsum("ti,tj->ij", X, X)
+            Y = W @ X
+            X = Y[:n]
+            for j in range(k):
+                X += gamma[t, j] * Y[(j + 1) * n:(j + 2) * n]
+            sums[t + 1] += X @ X.T
 
     exact = exact_moment_recursion(A_cl, dirs, x0_cov, cfg.horizon)
     return MomentHistory(empirical=sums / cfg.trials, exact=exact)

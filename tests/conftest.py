@@ -18,7 +18,7 @@ from multinoise import (
 )
 from multinoise.margins import bisect_max_feasible
 from multinoise.matops import abs_part, pos_part
-from multinoise.verify import _grid_axes
+from multinoise.verify import _grid_axes, _psd_sqrt
 
 
 #: The LU stability verdict and the eigenvalue-radius verdict are both
@@ -175,6 +175,46 @@ def assert_sweep_matches_oracle(report, A_cl, dirs, box, samples_per_dir):
     assert report.all_stable == stable
     assert 1 <= report.eigensolves <= samples
 
+
+
+def row_loop_second_moment(A_cl, dirs, cfg, x0_cov):
+    """Monte Carlo estimate of E[x_t x_t^T], shape (horizon + 1, n, n),
+    with the states of each block of 1024 trials as rows, stepped by one
+    three-operand einsum over the directions.
+
+    An oracle for ``simulate_second_moment``, which draws the same numbers
+    from the same per-trial streams and steps every state of a block with
+    one stacked product; the two share only the square root of ``x0_cov``.
+    """
+    A_cl = np.asarray(A_cl, dtype=float)
+    n, k = A_cl.shape[0], len(dirs)
+    D = (np.stack([np.asarray(M, dtype=float) for M, _ in dirs]) if k
+         else np.zeros((0, n, n)))
+    stds = np.sqrt(np.array([v for _, v in dirs])) if k else np.zeros(0)
+    Lx = _psd_sqrt(symmetrize(x0_cov))
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    sums = np.zeros((cfg.horizon + 1, n, n))
+    for start in range(0, cfg.trials, 1024):
+        block = streams[start:start + 1024]
+        X = np.zeros((len(block), n))
+        noise = np.zeros((len(block), cfg.horizon, k))
+        for i, child in enumerate(block):
+            rng = np.random.Generator(np.random.PCG64(child))
+            X[i] = Lx @ rng.standard_normal(n)
+            if k:
+                if cfg.noise_law == "gaussian":
+                    noise[i] = rng.standard_normal((cfg.horizon, k)) * stds
+                else:
+                    signs = rng.integers(0, 2, size=(cfg.horizon, k)) * 2 - 1
+                    noise[i] = signs * stds
+        sums[0] += np.einsum("ti,tj->ij", X, X)
+        for t in range(cfg.horizon):
+            Xn = X @ A_cl.T
+            if k:
+                Xn = Xn + np.einsum("tk,kij,tj->ti", noise[:, t, :], D, X)
+            X = Xn
+            sums[t + 1] += np.einsum("ti,tj->ij", X, X)
+    return sums / cfg.trials
 
 @pytest.fixture(scope="session")
 def pendulum():

@@ -221,6 +221,18 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert len(out1["exact_norm"]) == 11
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"),
+                                         ("--trials", "0"),
+                                         ("--horizon", "0")])
+def test_simulate_bad_config_exit_two(tmp_path, capsys, flag, value):
+    path = write_problem(tmp_path, stable_doc())
+    argv = {"--trials": "10", "--seed": "1", "--horizon": "5"}
+    argv[flag] = value
+    code = main(["simulate", path] + [x for kv in argv.items() for x in kv])
+    assert code == 2
+    assert f"{flag[2:]} must be >=" in capsys.readouterr().err
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")

@@ -1,5 +1,6 @@
 """Property tests of the svec lift, the LU stability verdict, the
-pencil-root margins and the bound-then-solve grid sweep."""
+pencil-root margins, the bound-then-solve grid sweep and the stacked Monte
+Carlo propagation."""
 
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import multinoise.verify
 from multinoise import (
+    MonteCarloConfig,
     PerturbationBox,
     UncertaintyStructure,
     grid_verify,
@@ -17,14 +19,19 @@ from multinoise import (
     moment_operator,
     nlmi_feasible,
     shared_lyapunov_margins,
+    simulate_second_moment,
     single_direction_margin,
     solve_gle,
     spectral_radius,
 )
 from multinoise.margins import _single_dir_condition
-from multinoise.matops import pos_part
+from multinoise.matops import pos_part, symmetrize
 from multinoise.stability import _mss_holds, _svec_lift
-from multinoise.verify import _radius_bounds
+from multinoise.verify import (
+    _MC_BLOCK,
+    _radius_bounds,
+    exact_moment_recursion,
+)
 
 from conftest import (
     VERDICT_BAND,
@@ -33,6 +40,7 @@ from conftest import (
     direct_margin_matrix,
     nlmi_bracket,
     random_mss_instance,
+    row_loop_second_moment,
 )
 
 #: derandomized, so that every run draws the same examples
@@ -189,3 +197,35 @@ def test_radius_bound_lies_above_the_radius(n, seed, exponent, symmetric):
     if symmetric and abs(exponent) <= 100:
         # ||N^64||_F <= sqrt(n) rho(N)^64 for symmetric N
         assert np.all(ub <= 1.02 * rho)
+
+
+@st.composite
+def monte_carlo_instances(draw):
+    """A seeded closed loop, n in 1..4 with 0-3 directions, and a random
+    positive semidefinite initial covariance, possibly singular."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(0.1, 1.5)) / np.sqrt(n)
+    A_cl = scale * rng.normal(size=(n, n))
+    dirs = [(scale * rng.normal(size=(n, n)), float(rng.uniform(0.0, 1.0)))
+            for _ in range(k)]
+    L = rng.normal(size=(n, draw(st.integers(1, n))))
+    return A_cl, dirs, L @ L.T
+
+
+@PROPERTY
+@given(monte_carlo_instances(), st.sampled_from(["gaussian", "rademacher"]),
+       st.sampled_from([1, _MC_BLOCK, _MC_BLOCK + 1]), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_monte_carlo_matches_row_loop(instance, law, trials, horizon, seed):
+    # same streams and draws; only the order of the summations differs
+    A_cl, dirs, x0_cov = instance
+    cfg = MonteCarloConfig(horizon=horizon, trials=trials, seed=seed,
+                           noise_law=law)
+    hist = simulate_second_moment(A_cl, dirs, cfg, x0_cov)
+    oracle = row_loop_second_moment(A_cl, dirs, cfg, x0_cov)
+    for got, want in zip(hist.empirical, oracle):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    exact = exact_moment_recursion(A_cl, dirs, symmetrize(x0_cov), horizon)
+    assert hist.exact.tobytes() == exact.tobytes()

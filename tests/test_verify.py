@@ -192,10 +192,46 @@ def test_monte_carlo_deterministic_given_seed():
 
 
 def test_monte_carlo_config_validation():
-    with pytest.raises(ValueError):
-        MonteCarloConfig(horizon=0, trials=1, seed=0)
-    with pytest.raises(ValueError):
+    # each field is checked on its own, and its error names it
+    for field, value in [
+        ("horizon", 0), ("horizon", 2.5), ("horizon", True),
+        ("trials", 0), ("trials", -3), ("trials", 10.0), ("trials", False),
+        ("seed", -1), ("seed", 1.5), ("seed", None), ("seed", True),
+    ]:
+        fields = dict(horizon=1, trials=1, seed=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MonteCarloConfig(**fields)
+    with pytest.raises(ValueError, match="noise law"):
         MonteCarloConfig(horizon=1, trials=1, seed=0, noise_law="cauchy")
+    cfg = MonteCarloConfig(horizon=np.int64(2), trials=np.int32(3),
+                           seed=np.uint64(4))
+    assert simulate_second_moment(0.5 * ONE, [(ONE, 0.1)], cfg,
+                                  ONE).empirical.shape == (3, 1, 1)
+
+
+@pytest.mark.parametrize("trial", [0, multinoise.verify._MC_BLOCK - 1,
+                                   multinoise.verify._MC_BLOCK])
+def test_trial_streams_are_the_spawned_children(trial):
+    # each block builds its own children; they are those spawn returns
+    children = np.random.SeedSequence(23).spawn(trial + 1)
+    spawned = np.random.Generator(np.random.PCG64(children[trial]))
+    built = multinoise.verify._trial_generator(23, trial)
+    assert np.array_equal(built.bit_generator.seed_seq.generate_state(4),
+                          children[trial].generate_state(4))
+    assert np.array_equal(built.standard_normal(8),
+                          spawned.standard_normal(8))
+    assert np.array_equal(built.integers(0, 2, size=(5, 3)),
+                          spawned.integers(0, 2, size=(5, 3)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_monte_carlo_rejects_non_finite_x0_cov(bad):
+    cfg = MonteCarloConfig(horizon=2, trials=2, seed=0)
+    x0_cov = np.eye(2)
+    x0_cov[1, 1] = bad
+    with pytest.raises(ValueError, match="x0_cov must be finite"):
+        simulate_second_moment(0.5 * np.eye(2), [], cfg, x0_cov)
 
 
 def test_rademacher_law_has_modeled_variance():
