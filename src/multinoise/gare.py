@@ -21,9 +21,11 @@ import numpy as np
 import numpy.linalg as la
 
 from .errors import NumericalError
-from .matops import symmetrize, vec
+from .matops import symmetrize
 from .model import CostPair, NoiseModel, NominalSystem, closed_loop_substitution
-from .stability import _mss_holds
+from .stability import (
+    _mss_holds, _svec_lift, _svec_map_lift, _svec_maps, _unsvec,
+)
 
 __all__ = [
     "GareOptions",
@@ -73,22 +75,21 @@ class GareSolution:
 
 
 def _lifted_step_operators(sys: NominalSystem, noise: NoiseModel):
-    # The three lifts stacked as [L; H; G], so that one matvec gives
-    # vec(A^T P A + sum_i alpha_i A_i^T P A_i), vec(B^T P A) and
-    # vec(B^T P B + sum_j beta_j B_j^T P B_j); each iteration is then one
-    # matvec plus an m x m solve, which matters when bisection drives
-    # thousands of near-boundary solves.
+    # The three lifts stacked as [L; H; G] on svec(P), so that one matvec
+    # gives svec(A^T P A + sum_i alpha_i A_i^T P A_i) and, row-major,
+    # B^T P A and B^T P B + sum_j beta_j B_j^T P B_j; each iteration is
+    # then one matvec plus an m x m solve, which matters when bisection
+    # drives thousands of near-boundary solves. All three come from the
+    # builder of the moment lift, so P is never formed until the end.
     A, B = sys.A, sys.B
-    L = np.kron(A.T, A.T)
-    for D, a in noise.a_dirs:
-        if a != 0.0:
-            L = L + a * np.kron(D.T, D.T)
-    H = np.kron(A.T, B.T)
-    G = np.kron(B.T, B.T)
-    for D, b in noise.b_dirs:
-        if b != 0.0:
-            G = G + b * np.kron(D.T, D.T)
-    return np.vstack([L, H, G])
+    n, m = sys.n, sys.m
+    b_dirs = [(D, b) for D, b in noise.b_dirs if b != 0.0]
+    Bs = np.stack([B] + [D for D, _ in b_dirs])
+    b_weights = np.array([1.0] + [b for _, b in b_dirs])
+    pairs = np.divmod(np.arange(m * n), n)  # (k, l) of B^T P A, row-major
+    H = _svec_map_lift(B[None], A[None], np.ones(1), *pairs)
+    G = _svec_map_lift(Bs, Bs, b_weights, *np.divmod(np.arange(m * m), m))
+    return np.vstack([_svec_lift(A, noise.a_dirs), H, G])
 
 
 def solve_gare(
@@ -112,43 +113,45 @@ def solve_gare(
     if la.eigvalsh(symmetrize(costs.Q))[0] <= 0:
         raise ValueError("Q must be positive definite for the value iteration")
     n, m = sys.n, sys.m
-    nn, mn = n * n, m * n
+    R, C, eye = _svec_maps(n)
+    N, mn = R.size, m * n
+    lower = R * n + C  # flat indices of the svec coordinates
+    # off-diagonal svec coordinates stand for two entries of P, so these
+    # weights make the norms below Frobenius norms
+    w = 2.0 - eye
     S = _lifted_step_operators(sys, noise)
 
-    def lifted_terms(pv):
-        # (vec of the state term, B^T P A, inner^-1 B^T P A) at vec(P) = pv
-        v = S @ pv
-        BtPA = v[nn:nn + mn].reshape((m, n), order="F")
-        inner = costs.R + v[nn + mn:].reshape((m, m), order="F")
+    def lifted_terms(s):
+        # (svec of the state term, B^T P A, inner^-1 B^T P A) at svec(P) = s
+        v = S @ s
+        BtPA = v[N:N + mn].reshape(m, n)
+        inner = costs.R + v[N + mn:].reshape(m, m)
         try:
             X = la.solve(inner, BtPA)
         except la.LinAlgError as exc:
             raise NumericalError(
                 f"inner input-weight matrix is singular: {exc}"
             ) from exc
-        return v[:nn], BtPA, X
+        return v[:N], BtPA, X
 
-    qv = vec(costs.Q)
-    pv = qv.copy()
+    q = costs.Q.take(lower)
+    s = q
     iterations = 0
     while iterations < opts.max_iter:
-        Lp, BtPA, X = lifted_terms(pv)
-        Pn = (qv + Lp).reshape((n, n), order="F") - BtPA.T @ X
-        Pn = 0.5 * (Pn + Pn.T)
-        # Pn is exactly symmetric, so its row-major ravel is vec(Pn)
-        pv_next = Pn.ravel()
-        step = pv_next - pv
-        diff = math.sqrt(step @ step)
-        pnorm = math.sqrt(pv_next @ pv_next)
-        pv = pv_next
+        Ls, BtPA, X = lifted_terms(s)
+        s_next = q + Ls - (BtPA.T @ X).take(lower)
+        step = s_next - s
+        diff = math.sqrt(step @ (w * step))
+        pnorm = math.sqrt(s_next @ (w * s_next))
+        s = s_next
         iterations += 1
         if not math.isfinite(pnorm) or pnorm > opts.blowup:
             status = "blowup" if math.isfinite(pnorm) else "non_finite"
             return GareSolution(P=None, K=None, iterations=iterations,
                                 status=status)
         if diff <= opts.tol_abs + opts.tol_rel * pnorm:
-            _, _, X = lifted_terms(pv)
-            return GareSolution(P=Pn, K=-X, iterations=iterations,
+            _, _, X = lifted_terms(s)
+            return GareSolution(P=_unsvec(s, n), K=-X, iterations=iterations,
                                 status="converged")
     return GareSolution(P=None, K=None, iterations=iterations,
                         status="iteration_cap")

@@ -23,8 +23,6 @@ __all__ = [
     "abs_part",
     "is_psd",
     "gen_eig_max",
-    "vec",
-    "unvec",
 ]
 
 
@@ -124,15 +122,3 @@ def gen_eig_max(lhs, rhs) -> float:
     Y = la.solve(L, Y.T).T
     return float(la.eigvalsh(symmetrize(Y))[-1])
 
-
-def vec(X) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(X, dtype=float).reshape(-1, order="F")
-
-
-def unvec(v, n: int) -> np.ndarray:
-    """Inverse of :func:`vec` for an n x n matrix."""
-    v = np.asarray(v, dtype=float)
-    if v.size != n * n:
-        raise DimensionError(f"cannot reshape length {v.size} into {n}x{n}")
-    return v.reshape((n, n), order="F")

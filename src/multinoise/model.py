@@ -260,6 +260,25 @@ def closed_loop_substitution(
     return A_cl, dirs
 
 
+def _closed_loop_stack(A_cl, dirs: DirList) -> np.ndarray:
+    """The closed loop and its directions as one (p + 1, n, n) float stack,
+    A_cl first, after checking that A_cl is square and that every direction
+    has its shape; a mis-shaped direction would otherwise broadcast
+    against A_cl, or be read at the wrong entries, silently."""
+    A_cl = np.asarray(A_cl, dtype=float)
+    if A_cl.ndim != 2 or A_cl.shape[0] != A_cl.shape[1]:
+        raise DimensionError(f"A_cl must be square, got shape {A_cl.shape}")
+    mats = [A_cl]
+    for i, (D, _) in enumerate(dirs):
+        D = np.asarray(D, dtype=float)
+        if D.shape != A_cl.shape:
+            raise DimensionError(
+                f"direction {i} has shape {D.shape}, A_cl has {A_cl.shape}"
+            )
+        mats.append(D)
+    return np.stack(mats)
+
+
 def perturbed_matrix(A_cl, dirs: DirList, mu) -> np.ndarray:
     """Closed-loop matrix shifted by constant perturbation coefficients:
     ``A_cl + sum_k mu_k * D_k``."""

@@ -347,8 +347,9 @@ def _opt_matrix_to_list(M: np.ndarray | None):
     return None if M is None else np.asarray(M).tolist()
 
 
-def _opt_matrix_from_list(v) -> np.ndarray | None:
-    return None if v is None else np.asarray(v, dtype=float)
+def _opt_numeric(data: dict, name: str) -> np.ndarray | None:
+    v = data.get(name)
+    return None if v is None else _numeric(v, name)
 
 
 def certificate_to_dict(cert: MarginCertificate) -> dict:
@@ -372,14 +373,13 @@ def certificate_from_dict(data: dict) -> MarginCertificate:
             psi=np.asarray(data["psi"], dtype=float),
             bidirectional=bool(data["bidirectional"]),
         )
-        zeta = data.get("zeta")
         return MarginCertificate(
             box=box,
             method=MarginMethod(data["method"]),
             y_star=float(data["y_star"]),
-            P=_opt_matrix_from_list(data.get("P")),
-            q_matrix=_opt_matrix_from_list(data.get("q_matrix")),
-            zeta=None if zeta is None else np.asarray(zeta, dtype=float),
+            P=_opt_numeric(data, "P"),
+            q_matrix=_opt_numeric(data, "q_matrix"),
+            zeta=_opt_numeric(data, "zeta"),
             cap_hit=bool(data.get("cap_hit", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -407,7 +407,7 @@ def design_result_from_dict(data: dict) -> DesignResult:
     try:
         diag = data.get("diagnostics", {})
         return DesignResult(
-            K=np.asarray(data["K"], dtype=float),
+            K=_numeric(data["K"], "K"),
             certificate=None if data.get("certificate") is None
             else certificate_from_dict(data["certificate"]),
             y_star=float(data["y_star"]),

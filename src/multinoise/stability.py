@@ -21,8 +21,10 @@ Two exact facts make that decision cheap:
 
 The verdict thus costs one O(N^3) LU and an n x n Cholesky factorization,
 with no eigensolver, and the steady-state quadratic (generalized Lyapunov)
-equation is one more LU solve on the same lift. The eigenvalue radius of
-the n^2 x n^2 lift is kept for reporting, in :func:`is_mean_square_stable`.
+equation is one more LU solve on the same lift. :func:`is_mean_square_stable`
+reports the eigenvalue radius of this lift too, and the value iteration of
+:mod:`multinoise.gare` runs on svec coordinates; :func:`moment_operator`,
+the n^2 x n^2 lift on vec coordinates, is only the reference for them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy.linalg as la
 
 from .errors import DimensionError, NumericalError
 from .matops import spectral_radius, symmetrize
-from .model import DirList
+from .model import DirList, _closed_loop_stack
 
 __all__ = [
     "GleSolution",
@@ -71,29 +73,20 @@ class GleSolution:
 
 def _lifted_dirs(A_cl, dirs: DirList):
     # the closed loop and the directions with nonzero variance, as one
-    # stack of matrices and their weights; shapes must agree, since the
-    # lifts would otherwise broadcast or read wrong entries silently
-    A_cl = np.asarray(A_cl, dtype=float)
-    if A_cl.ndim != 2 or A_cl.shape[0] != A_cl.shape[1]:
-        raise DimensionError(f"A_cl must be square, got shape {A_cl.shape}")
-    mats, weights = [A_cl], [1.0]
-    for i, (D, a) in enumerate(dirs):
-        D = np.asarray(D, dtype=float)
-        if D.shape != A_cl.shape:
-            raise DimensionError(
-                f"direction {i} has shape {D.shape}, A_cl has {A_cl.shape}"
-            )
-        if a != 0.0:
-            mats.append(D)
-            weights.append(a)
-    return mats, weights
+    # stack of matrices and their weights
+    weights = np.array([1.0] + [a for _, a in dirs])
+    keep = weights != 0.0
+    return _closed_loop_stack(A_cl, dirs)[keep], weights[keep]
 
 
 def moment_operator(A_cl, dirs: DirList) -> np.ndarray:
-    """Lift of the map P -> A_cl^T P A_cl + sum_i alpha_i D_i^T P D_i.
+    """Lift of the map P -> A_cl^T P A_cl + sum_i alpha_i D_i^T P D_i on
+    column-stacked vec(P), an n^2 x n^2 sum of Kronecker products; its
+    transpose propagates state covariances forward in time.
 
-    Acts on column-stacked vec(P); its transpose propagates state
-    covariances forward in time.
+    The reference lift: the solvers use the svec lift, with the same
+    spectral radius, and share only the shape checks with this one, which
+    the tests and the benchmark checks use as their oracle.
     """
     mats, weights = _lifted_dirs(A_cl, dirs)
     M = np.kron(mats[0].T, mats[0].T)
@@ -114,27 +107,36 @@ def _svec_maps(n: int):
     return R, C, eye
 
 
-def _svec_lift(A_cl, dirs: DirList) -> np.ndarray:
-    """The second-moment operator on svec coordinates, N = n(n+1)/2.
+def _svec_map_lift(U, V, weights, rows, cols) -> np.ndarray:
+    """Matrix of X -> sum_t w_t U_t^T X V_t from the svec coordinates of a
+    symmetric n x n X to the entries (rows[r], cols[r]) of the result.
 
-    Column c = (i, j) holds svec M(E_ij + E_ji) for i != j and svec M(E_ii)
-    for i = j, so its row r = (k, l) is, summed over the lifted matrices T
-    with their weights, T[i, k] T[j, l] + T[j, k] T[i, l], halved when
-    i = j. The four factors are gathered from the transposes through the
-    index maps, one factor pair at a time to bound the temporaries.
+    U and V are stacks of T matrices with n rows each. Column c = (i, j)
+    holds the map at E_ij + E_ji for i != j and at E_ii for i = j, so its
+    row r = (k, l) is, summed over t with the weights,
+    U[i, k] V[j, l] + U[j, k] V[i, l], halved when i = j. The four factors
+    are gathered from the transposes through the index maps, one factor
+    pair at a time to bound the temporaries.
     """
-    mats, weights = _lifted_dirs(A_cl, dirs)
-    R, C, eye = _svec_maps(mats[0].shape[0])
-    N = R.size
-    Tt = np.stack(mats).transpose(0, 2, 1)
-    TR, TC = Tt.take(R, axis=1), Tt.take(C, axis=1)
-    terms = TR.take(R, axis=2)  # T[i, k]
-    terms *= TC.take(C, axis=2)  # T[j, l]
-    pair = TR.take(C, axis=2)  # T[j, k]
-    pair *= TC.take(R, axis=2)  # T[i, l]
+    R, C, eye = _svec_maps(U.shape[1])
+    UR = U.transpose(0, 2, 1).take(rows, axis=1)
+    VC = V.transpose(0, 2, 1).take(cols, axis=1)
+    terms = UR.take(R, axis=2)  # U[i, k]
+    terms *= VC.take(C, axis=2)  # V[j, l]
+    pair = UR.take(C, axis=2)  # U[j, k]
+    pair *= VC.take(R, axis=2)  # V[i, l]
     terms += pair
-    S = (np.array(weights) @ terms.reshape(len(mats), -1)).reshape(N, N)
+    S = (weights @ terms.reshape(len(weights), -1)).reshape(len(rows), R.size)
     return S * (1.0 - 0.5 * eye)
+
+
+def _svec_lift(A_cl, dirs: DirList) -> np.ndarray:
+    """The second-moment operator on svec coordinates, N = n(n+1)/2: the
+    map of :func:`_svec_map_lift` with U = V = the lifted matrices and the
+    svec coordinates as output rows."""
+    mats, weights = _lifted_dirs(A_cl, dirs)
+    R, C, _ = _svec_maps(mats.shape[1])
+    return _svec_map_lift(mats, mats, weights, R, C)
 
 
 def _unsvec(x, n: int) -> np.ndarray:
@@ -189,11 +191,12 @@ def is_mean_square_stable(A_cl, dirs: DirList) -> tuple[bool, float]:
     The state second moment converges to zero for every bounded initial
     state iff the moment-operator spectral radius is strictly below one;
     a radius within ``MSS_MARGIN`` of one counts as unstable. This is the
-    reporting verdict: it computes the eigenvalue radius of the n^2 x n^2
-    lift and shares only the shape checks with the LU verdict that the
+    reporting verdict: it computes the eigenvalue radius of the svec lift,
+    the same radius as that of the n^2 x n^2 lift (see the module
+    docstring), and shares only the lift with the LU verdict that the
     solvers use.
     """
-    r = spectral_radius(moment_operator(A_cl, dirs))
+    r = spectral_radius(_svec_lift(A_cl, dirs))
     return r < 1.0 - MSS_MARGIN, r
 
 

@@ -18,7 +18,7 @@ import numpy.linalg as la
 
 from .errors import DimensionError, GridSizeError
 from .matops import is_psd, symmetrize
-from .model import DirList, PerturbationBox
+from .model import DirList, PerturbationBox, _closed_loop_stack
 
 __all__ = [
     "GridReport",
@@ -117,22 +117,6 @@ def _grid_axes(box: PerturbationBox, samples_per_dir: int) -> list[np.ndarray]:
     return axes
 
 
-def _direction_stack(A_cl: np.ndarray, dirs: DirList) -> np.ndarray:
-    # the directions as one (p, n, n) stack; a mis-shaped direction would
-    # otherwise broadcast against A_cl silently
-    if A_cl.ndim != 2 or A_cl.shape[0] != A_cl.shape[1]:
-        raise DimensionError(f"A_cl must be square, got shape {A_cl.shape}")
-    mats = []
-    for i, (D, _) in enumerate(dirs):
-        D = np.asarray(D, dtype=float)
-        if D.shape != A_cl.shape:
-            raise DimensionError(
-                f"direction {i} has shape {D.shape}, A_cl has {A_cl.shape}"
-            )
-        mats.append(D)
-    return np.stack(mats) if mats else np.zeros((0,) + A_cl.shape)
-
-
 def _radius_bounds(mats: np.ndarray) -> np.ndarray:
     """Upper bounds on the spectral radii of a stack of n x n matrices, from
     Gelfand's bound rho(M) = s rho(N) <= s ||N^m||_F^(1/m), where N = M/s,
@@ -205,14 +189,14 @@ def grid_verify(
     by one. This rests on the eigensolver erring by less than the slack at
     the points left out (see the threshold below).
     """
-    A_cl = np.asarray(A_cl, dtype=float)
     if samples_per_dir < 2:
         raise ValueError("samples_per_dir must be >= 2")
     if box.bounds.size != len(dirs):
         raise DimensionError(
             f"box has {box.bounds.size} entries for {len(dirs)} directions"
         )
-    D = _direction_stack(A_cl, dirs)
+    W = _closed_loop_stack(A_cl, dirs)
+    A_cl, D = W[0], W[1:]
     axes = _grid_axes(box, samples_per_dir)
     shape = tuple(ax.size for ax in axes)
     total = math.prod(shape)
@@ -329,8 +313,8 @@ def simulate_second_moment(
     state first, then the horizon-by-direction noise block), so results do
     not depend on how trials are scheduled.
     """
-    A_cl = np.asarray(A_cl, dtype=float)
-    D = _direction_stack(A_cl, dirs)
+    W = _closed_loop_stack(A_cl, dirs)
+    A_cl = W[0]
     for i, (_, v) in enumerate(dirs):
         if not (np.isfinite(v) and v >= 0.0):
             raise ValueError(
@@ -355,7 +339,7 @@ def simulate_second_moment(
     # Trials run in blocks of _MC_BLOCK, each building its own streams, so
     # memory does not grow with the trial count; the sums of x x^T are
     # divided once at the end.
-    W = np.concatenate([A_cl[None], D]).reshape((k + 1) * n, n)
+    W = W.reshape((k + 1) * n, n)
     size = min(cfg.trials, _MC_BLOCK)
     Z = np.empty((size, n))
     noise = np.empty((size, cfg.horizon, k))

@@ -27,6 +27,17 @@ from multinoise.verify import _grid_axes, _psd_sqrt
 VERDICT_BAND = 1e-6
 
 
+def vec(X):
+    """Column-stacking vectorization, the coordinates of the reference lift
+    ``moment_operator``."""
+    return np.asarray(X, dtype=float).reshape(-1, order="F")
+
+
+def unvec(v, n):
+    """Inverse of :func:`vec` for an n x n matrix."""
+    return np.asarray(v, dtype=float).reshape((n, n), order="F")
+
+
 def random_mss_instance(rng, n, p, target_radius):
     """Random closed loop with noise directions, scaled exactly so the
     second-moment operator has the requested spectral radius.
@@ -49,8 +60,8 @@ def direct_value_step(P_t, sys, noise, costs):
     P_{t+1} = Q + A^T P A + sum_i alpha_i A_i^T P A_i
               - A^T P B (R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A
 
-    An oracle for ``solve_gare``, which iterates the same map through
-    Kronecker lifts; the two share no code.
+    An oracle for ``solve_gare``, which iterates the same map on svec
+    coordinates through stacked lifts; the two share no code.
     """
     P = symmetrize(P_t)
     A, B = sys.A, sys.B

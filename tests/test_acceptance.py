@@ -40,12 +40,14 @@ from multinoise import (
     symmetrize,
 )
 from multinoise.margins import _single_dir_condition
-from multinoise.matops import pos_part, unvec, vec
+from multinoise.matops import pos_part
 
 from conftest import (
     bisect_min_feasible,
     direct_value_step,
     random_mss_instance,
+    unvec,
+    vec,
 )
 
 TIGHT_BISECT = BisectOptions(rel_tol=1e-9)

@@ -1,6 +1,8 @@
 import json
+import math
 
 import numpy as np
+import numpy.linalg as la
 import pytest
 
 from multinoise import NumericalError
@@ -256,6 +258,47 @@ def test_numerical_failure_exit_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "build_parser", lambda: parser)
     monkeypatch.setattr(parser, "parse_args", lambda argv=None: args)
     assert cli_mod.main(["check-mss", path]) == 3
+
+
+def test_lapack_failure_exit_three(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError subclasses ValueError, which exits 2
+    path = write_problem(tmp_path, stable_doc())
+    import multinoise.cli as cli_mod
+
+    def boom(args):
+        raise la.LinAlgError("synthetic LAPACK failure")
+
+    parser = cli_mod.build_parser()
+    args = parser.parse_args(["check-mss", path])
+    args.func = boom
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: parser)
+    monkeypatch.setattr(parser, "parse_args", lambda argv=None: args)
+    assert cli_mod.main(["check-mss", path]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--trials", "10", "--seed", "1", "--horizon", "5"]),
+    ("verify-grid", ["--samples", "10"]),
+])
+def test_non_finite_gain_in_result_document_exit_two(tmp_path, capsys,
+                                                     command, flags):
+    path = write_problem(tmp_path, stable_doc())
+    design = {
+        "K": [[math.nan, 0.0]], "y_star": 0.1, "z_star": None,
+        "cap_hit": False,
+        "certificate": {
+            "method": "shared-uni", "y_star": 0.1, "eta": [0.1], "psi": [],
+            "bidirectional": False, "cap_hit": False, "P": None,
+            "q_matrix": None, "zeta": None,
+        },
+        "diagnostics": {"rho_closed_loop": 0.6},
+    }
+    cert_path = tmp_path / "design.json"
+    cert_path.write_text(json.dumps(design))
+    code = main([command, path, "--cert", str(cert_path)] + flags)
+    assert code == 2
+    assert "field 'K'" in capsys.readouterr().err
 
 
 def test_reproduce_pendulum_table(capsys):

@@ -72,6 +72,43 @@ def test_value_iteration_step_zero_b_reduces_to_quadratic_recursion():
     np.testing.assert_allclose(stepped, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (4, 1), (4, 2), (6, 1),
+                                  (6, 2)])
+def test_value_iteration_step_with_input_noise_matches_direct_form(n, m):
+    rng = np.random.default_rng(100 + 10 * n + m)
+    sys = NominalSystem(A=rng.normal(size=(n, n)) / np.sqrt(n),
+                        B=rng.normal(size=(n, m)))
+    noise = NoiseModel(
+        a_dirs=[(rng.normal(size=(n, n)), a) for a in (0.3, 0.0, 0.1)],
+        b_dirs=[(rng.normal(size=(n, m)), b) for b in (0.2, 0.05)],
+    )
+    X = rng.normal(size=(n, n))
+    costs = CostPair(Q=np.eye(n) + X @ X.T, R=np.eye(m))
+    lifted = solve_gare(sys, noise, costs, ONE_STEP).P
+    stepped = direct_value_step(costs.Q, sys, noise, costs)
+    np.testing.assert_allclose(lifted, stepped, rtol=1e-12,
+                               atol=1e-12 * la.norm(stepped))
+
+
+def test_stopping_rule_and_blowup_use_the_frobenius_norm():
+    # P_0 = I and P_1 = I + A^T A = [[2, 1], [1, 2]]. The step A^T A has
+    # Frobenius norm 2 but the plain norm of its lower triangle is sqrt(3);
+    # P_1 has Frobenius norm sqrt(10) but lower-triangle norm 3.
+    sys = NominalSystem(A=[[1.0, 1.0], [0.0, 0.0]], B=np.zeros((2, 1)))
+    costs = CostPair(Q=np.eye(2), R=np.eye(1))
+    capped = solve_gare(sys, NoiseModel(), costs,
+                        GareOptions(tol_abs=1.9, tol_rel=0.0, max_iter=1))
+    assert capped.status == "iteration_cap"
+    blown = solve_gare(sys, NoiseModel(), costs,
+                       GareOptions(blowup=3.1, max_iter=1))
+    assert blown.status == "blowup"
+    kept = solve_gare(sys, NoiseModel(), costs,
+                      GareOptions(tol_abs=2.0, tol_rel=0.0, blowup=3.2,
+                                  max_iter=1))
+    assert kept.status == "converged"
+    np.testing.assert_array_equal(kept.P, [[2.0, 1.0], [1.0, 2.0]])
+
+
 def test_fixed_point_is_stationary():
     sys, costs = scalar_problem()
     noise = NoiseModel()

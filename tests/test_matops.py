@@ -12,7 +12,8 @@ from multinoise import (
     spectral_radius,
     symmetrize,
 )
-from multinoise.matops import unvec, vec
+
+from conftest import vec
 
 
 def test_symmetrize_examples():
@@ -112,11 +113,3 @@ def test_kron_vec_identity():
     lhs = vec(M.T @ X @ M)
     rhs = np.kron(M.T, M.T) @ vec(X)
     assert la.norm(lhs - rhs) < 1e-12
-
-
-def test_vec_unvec_roundtrip():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(3, 3))
-    np.testing.assert_array_equal(unvec(vec(X), 3), X)
-    with pytest.raises(DimensionError):
-        unvec(np.ones(5), 2)

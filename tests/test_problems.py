@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,3 +163,38 @@ def test_certificate_round_trip_identical(pendulum_alg2):
     np.testing.assert_array_equal(again.P, cert.P)
     assert again.y_star == cert.y_star
     assert again.method is cert.method
+
+
+def certificate_doc():
+    return {
+        "method": "cons-lin", "y_star": 1.0, "eta": [1.0], "psi": [],
+        "bidirectional": False, "cap_hit": False,
+        "P": [[1.0, 0.0], [0.0, 1.0]], "q_matrix": [[1.0, 0.0], [0.0, 1.0]],
+        "zeta": [0.5],
+    }
+
+
+def design_doc(cert):
+    return {"K": [[-1.0, -1.0]], "y_star": 1.0, "certificate": cert,
+            "diagnostics": {"rho_closed_loop": 0.5}}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["P", "q_matrix", "zeta"])
+def test_certificate_fields_must_be_finite(name, bad):
+    cert = certificate_doc()
+    value = np.array(cert[name])
+    value.flat[0] = bad
+    cert[name] = value.tolist()
+    with pytest.raises(ProblemFormatError, match=f"field '{name}'"):
+        certificate_from_dict(cert)
+    with pytest.raises(ProblemFormatError, match=f"field '{name}'"):
+        design_result_from_dict(design_doc(cert))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_design_gain_must_be_finite(bad):
+    doc = design_doc(certificate_doc())
+    doc["K"][0][1] = bad
+    with pytest.raises(ProblemFormatError, match="field 'K'"):
+        design_result_from_dict(doc)

@@ -13,10 +13,11 @@ from multinoise import (
     symmetrize,
 )
 from multinoise import stability
-from multinoise.matops import unvec, vec
-from multinoise.stability import MSS_MARGIN, _mss_holds, _svec_lift
+from multinoise.stability import (
+    MSS_MARGIN, _mss_holds, _svec_lift, _svec_map_lift,
+)
 
-from conftest import VERDICT_BAND, random_mss_instance
+from conftest import VERDICT_BAND, random_mss_instance, unvec, vec
 
 
 def gle_fixed_point_oracle(A_cl, dirs, Q, iters=20000, tol=1e-12):
@@ -189,6 +190,39 @@ def test_svec_lift_acts_like_the_moment_map_and_keeps_the_radius():
                                        atol=1e-12 * np.abs(want).max())
             full = spectral_radius(moment_operator(A_cl, dirs))
             assert spectral_radius(S) == pytest.approx(full, rel=1e-10)
+
+
+def test_svec_map_lift_is_the_weighted_congruence_on_any_rows():
+    # the builder's general form against direct products, on every entry
+    # of U^T X V, with stacks of different widths on the two sides
+    rng = np.random.default_rng(63)
+    for n, p, q, t in ((1, 1, 1, 1), (2, 1, 2, 2), (3, 2, 3, 2), (5, 3, 2, 3)):
+        U = rng.normal(size=(t, n, p))
+        V = rng.normal(size=(t, n, q))
+        w = rng.uniform(0.1, 1.0, size=t)
+        S = _svec_map_lift(U, V, w, *np.divmod(np.arange(p * q), q))
+        R, C = np.tril_indices(n)
+        X = rng.normal(size=(n, n))
+        X = X + X.T
+        want = sum(wt * (Ut.T @ X @ Vt) for wt, Ut, Vt in zip(w, U, V))
+        np.testing.assert_allclose((S @ X[R, C]).reshape(p, q), want,
+                                   rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_svec_lift_is_the_builder_on_the_svec_rows():
+    # the (T, T, R, C) case: the moment lift equals the svec rows of the
+    # builder's all-entries form, up to the rounding of the weighted sum
+    rng = np.random.default_rng(64)
+    for n in (1, 2, 4, 6):
+        A_cl, dirs = random_mss_instance(rng, n, 2, 0.9)
+        dirs.append((rng.normal(size=(n, n)), 0.0))
+        mats = np.stack([A_cl] + [D for D, a in dirs if a != 0.0])
+        w = np.array([1.0] + [a for _, a in dirs if a != 0.0])
+        full = _svec_map_lift(mats, mats, w, *np.divmod(np.arange(n * n), n))
+        R, C = np.tril_indices(n)
+        S = _svec_lift(A_cl, dirs)
+        np.testing.assert_allclose(S, full[R * n + C], rtol=1e-14,
+                                   atol=1e-14 * np.abs(S).max())
 
 
 @pytest.mark.parametrize("n, count", [(2, 20), (3, 20), (4, 20), (8, 8),

@@ -14,10 +14,11 @@ from multinoise import (
     simulate_second_moment,
     spectral_radius,
 )
-from multinoise.matops import vec
 from multinoise.verify import exact_moment_recursion
 
-from conftest import assert_sweep_matches_oracle, random_mss_instance
+from conftest import (
+    assert_sweep_matches_oracle, random_mss_instance, vec,
+)
 
 ONE = np.array([[1.0]])
 
