@@ -379,11 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="iteration cap override")
     riccati.add_argument("--blowup", type=float, default=None,
                          help="divergence threshold override")
-    bisect = argparse.ArgumentParser(add_help=False)
-    bisect.add_argument("--bisect-tol", type=float, default=None,
-                        help="relative tolerance override of the bisections "
-                             "(margins --method aux and the designs); the "
-                             "other margin methods solve for their edge")
 
     p = sub.add_parser("check-mss", parents=[common],
                        help="decide mean-square stability of the open loop")
@@ -395,17 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.set_defaults(func=cmd_solve_gare)
 
-    p = sub.add_parser("margins", parents=[common, bisect],
+    p = sub.add_parser("margins", parents=[common],
                        help="compute open-loop robustness margins")
     p.add_argument("problem")
     p.add_argument("--method", required=True,
                    choices=[m.value for m in MarginMethod])
     p.set_defaults(func=cmd_margins)
 
-    p = sub.add_parser("design", parents=[common, riccati, bisect],
+    p = sub.add_parser("design", parents=[common, riccati],
                        help="synthesize a robust gain")
     p.add_argument("problem")
     p.add_argument("--algo", required=True, choices=["ce", "1", "2"])
+    p.add_argument("--bisect-tol", type=float, default=None,
+                   help="relative tolerance override of the design "
+                        "bisections; the margin methods solve for their edge")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("verify-grid", parents=[common],

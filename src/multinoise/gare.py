@@ -22,7 +22,8 @@ import numpy.linalg as la
 
 from .errors import NumericalError
 from .matops import symmetrize
-from .model import CostPair, NoiseModel, NominalSystem, closed_loop_substitution
+from .model import (CostPair, NoiseModel, NominalSystem, _check_dir_shapes,
+                    closed_loop_substitution)
 from .stability import (
     _mss_holds, _svec_lift, _svec_map_lift, _svec_maps, _unsvec,
 )
@@ -110,6 +111,7 @@ def solve_gare(
     """
     if opts is None:
         opts = GareOptions()
+    _check_dir_shapes(sys, noise)
     if la.eigvalsh(symmetrize(costs.Q))[0] <= 0:
         raise ValueError("Q must be positive definite for the value iteration")
     n, m = sys.n, sys.m

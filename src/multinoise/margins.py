@@ -9,10 +9,10 @@ sqrt(1 + sum of margins) and assigns each direction the matched variance;
 mean-square stability of that auxiliary system proves two-sided
 deterministic stability of the original plant.
 
-Shared-Lyapunov and single-direction edges are a quadratic pencil's largest
-real root, backed off until the method's own check confirms it; the aux
-margins bisect, returning the last value evaluated feasible. Either way
-every returned certificate corresponds to a verified feasibility test.
+Every margin edge, shared-Lyapunov, single-direction or aux, is 1 over a
+quadratic pencil's largest real root, backed off until the method's own
+check confirms it, so every returned certificate corresponds to a verified
+feasibility test.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy.linalg as la
 from .errors import DimensionError, NotMeanSquareStableError
 from .matops import abs_part, gen_eig_max, is_psd, pos_part, symmetrize
 from .model import DirList, PerturbationBox, UncertaintyStructure
-from .stability import _mss_holds, solve_gle
+from .stability import _mss_holds, _svec_lift, solve_gle
 
 __all__ = [
     "BisectOptions",
@@ -66,8 +66,8 @@ class BisectOptions:
     The bracket starts at [0, 1] and the upper end doubles until it turns
     infeasible; hitting ``bracket_cap`` is reported as a distinct
     ``cap_hit`` diagnostic (the margin is unbounded or degenerate) rather
-    than silently returned as a maximum. Margin methods other than ``aux``
-    solve for their edge and read only ``bracket_cap``.
+    than silently returned as a maximum. Only the designs bisect: the
+    margin methods solve for their edge and read only ``bracket_cap``.
     """
 
     rel_tol: float = 1e-6
@@ -129,27 +129,25 @@ def bisect_max_feasible(
 
 
 def _pencil_root(L, R1, R0) -> float:
-    """Largest real mu at which mu^2 L - mu R1 - R0 is singular, for R1, R0
-    positive semidefinite: the largest real eigenvalue of the 2n companion
-    [[R1~, R0~], [I, 0]] of the pencil whitened by the Cholesky factor of L
-    (Tisseur & Meerbergen, SIAM Review 2001); inf if L is not positive
-    definite. Above it the pencil is positive definite."""
+    """Largest real mu at which mu^2 L - mu R1 - R0 is singular: the
+    largest real eigenvalue of the 2n companion [[L^-1 R1, L^-1 R0], [I, 0]]
+    (Tisseur & Meerbergen, SIAM Review 2001), from one LU solve with L;
+    inf if L is singular. The pencil need not be symmetric."""
     try:
-        C = la.cholesky(L)
+        top = la.solve(L, np.hstack([R1, R0]))
     except la.LinAlgError:  # L singular along a direction: the edge y is 0
         return math.inf
-    R1, R0 = (la.solve(C, la.solve(C, R).T).T for R in (R1, R0))
-    mu = la.eigvals(np.block([[R1, R0], [np.eye(len(C)), 0.0 * C]]))
+    mu = la.eigvals(np.vstack([top, np.eye(len(L), 2 * len(L))]))
     # the largest real root is semisimple: its imaginary part is rounding
     real = mu.real[np.abs(mu.imag) <= 1e-8 * np.abs(mu).max()]
     return float(real.max()) if real.size else 0.0
 
 
 def _confirmed_edge(pencil, holds, cap: float) -> tuple[float, bool]:
-    """Largest y <= cap with L - y R1 - y^2 R0 >= 0 for the pencil
-    (L, R1, R0): 1/mu backed off by a relative 1e-9, tenfold further while
-    the method's check ``holds(y)`` fails, else 0, which nominal stability
-    proves. ``cap_hit`` means the check passes at the cap."""
+    """Least y > 0 (at most cap) at which L - y R1 - y^2 R0 turns singular,
+    for the pencil (L, R1, R0): 1/mu backed off by a relative 1e-9, tenfold
+    further while the method's check ``holds(y)`` fails, else 0, which
+    nominal stability proves; ``cap_hit``: the check passes at the cap."""
     mu = _pencil_root(*pencil)
     edge = cap if mu * cap <= 1.0 else 1.0 / mu  # mu <= 0: no root
     if edge == cap and holds(cap):
@@ -545,45 +543,42 @@ def aux_system_margins(
     """Two-sided margins via mean-square stability of a scaled auxiliary
     system.
 
-    At candidate scaling y the margins are eta = y * weights, the dynamics
-    are multiplied by sqrt(1 + sum(eta)) and each direction receives
-    variance eta_k * (1 + sum(eta)), the least-noise choice satisfying the
-    variance condition with equality. The largest y whose auxiliary system
-    is mean-square stable certifies |mu_k| < eta_k. If the plant itself is
-    unstable a zero-margin certificate is returned.
+    At scaling y the margins are eta = y * weights (which sum to one), the
+    dynamics are multiplied by sqrt(1 + y) and each direction receives the
+    least variance eta_k (1 + y) meeting the variance condition; mean-square
+    stability of that system certifies |mu_k| < eta_k. Its moment operator
+    T(y) = (1 + y)(M0 + y M1), M0 the lift of A_cl and M1 the weighted lift
+    of the directions, is a positive map growing in y, so I - T(y) first
+    turns singular at the edge of the pencil (I - M0, M0 + M1, M1). An
+    unstable plant gets a zero-margin certificate.
     """
     A_cl = np.asarray(A_cl, dtype=float)
-    n = A_cl.shape[0]
     if len(dirs) != structure.p + structure.q:
         raise DimensionError("direction count does not match structure")
     w = structure.weights
     mats = _dir_mats(dirs)
 
-    def aux_dirs(y: float) -> DirList:
+    def aux_system(y: float) -> tuple[np.ndarray, DirList]:
         eta = y * w
         s = float(eta.sum())
-        return [(D, e * (1.0 + s)) for D, e in zip(mats, eta)], s
+        return (math.sqrt(1.0 + s) * A_cl,
+                [(D, e * (1.0 + s)) for D, e in zip(mats, eta)])
 
-    any_feasible = False
+    def holds(y: float) -> bool:
+        return _mss_holds(*aux_system(y))
 
-    def feasible(y: float) -> bool:
-        nonlocal any_feasible
-        d, s = aux_dirs(y)
-        mss = _mss_holds(math.sqrt(1.0 + s) * A_cl, d)
-        any_feasible = any_feasible or mss
-        return mss
-
-    # the bisection probes y = 0 first; no feasible probe means none at 0
-    y_star, cap_hit = bisect_max_feasible(feasible, bisect_opts)
-    if not any_feasible:
+    if not holds(0.0):
         return MarginCertificate(
             box=_split_box(np.zeros(len(dirs)), structure.p, True),
             method=MarginMethod.AUX_SCALED,
             y_star=0.0,
         )
-    d, s = aux_dirs(y_star)
-    q_cert = _check_q_eff(q_cert, n)
-    aux_sol = solve_gle(math.sqrt(1.0 + s) * A_cl, d, q_cert)
+    M0 = _svec_lift(A_cl, [])
+    M1 = sum(wk * _svec_lift(D, []) for D, wk in zip(mats, w) if wk)
+    y_star, cap_hit = _confirmed_edge(
+        (np.eye(len(M0)) - M0, M0 + M1, M1), holds,
+        (bisect_opts or BisectOptions()).bracket_cap)
+    aux_sol = solve_gle(*aux_system(y_star), _check_q_eff(q_cert, len(A_cl)))
     return MarginCertificate(
         box=_split_box(y_star * w, structure.p, True),
         method=MarginMethod.AUX_SCALED,

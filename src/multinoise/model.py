@@ -234,6 +234,15 @@ class CostPair:
             raise ValueError("R must be positive definite")
 
 
+def _check_dir_shapes(sys: NominalSystem, noise: NoiseModel) -> None:
+    """Directions are n x n (state) and n x m (input); NoiseModel lacks B."""
+    for name, dirs, m in (("a_dirs", noise.a_dirs, sys.n),
+                          ("b_dirs", noise.b_dirs, sys.m)):
+        for i, (D, _) in enumerate(dirs):
+            if D.shape != (sys.n, m):
+                raise DimensionError(f"{name}[{i}] shape {D.shape} != ({sys.n},{m})")
+
+
 def closed_loop_substitution(
     sys: NominalSystem, noise: NoiseModel, K
 ) -> tuple[np.ndarray, DirList]:
@@ -248,12 +257,7 @@ def closed_loop_substitution(
         raise DimensionError(
             f"gain must be {sys.m}x{sys.n}, got {K.shape}"
         )
-    for i, (D, _) in enumerate(noise.a_dirs):
-        if D.shape != (sys.n, sys.n):
-            raise DimensionError(f"a_dirs[{i}] shape {D.shape} != ({sys.n},{sys.n})")
-    for j, (D, _) in enumerate(noise.b_dirs):
-        if D.shape != (sys.n, sys.m):
-            raise DimensionError(f"b_dirs[{j}] shape {D.shape} != ({sys.n},{sys.m})")
+    _check_dir_shapes(sys, noise)
     A_cl = sys.A + sys.B @ K
     dirs = [(D, v) for (D, v) in noise.a_dirs]
     dirs += [(D @ K, v) for (D, v) in noise.b_dirs]

@@ -179,8 +179,8 @@ def _lift_verdict(S, n: int) -> bool:
 
 def _mss_holds(A_cl, dirs: DirList) -> bool:
     """The mean-square stability verdict without an eigensolver: one svec
-    lift and one LU (see :func:`_lift_verdict`). The probes of the margin
-    bisections and of the Riccati designs call this."""
+    lift and one LU (see :func:`_lift_verdict`). The aux margins confirm
+    their edge with it, and the Riccati designs' probes call it."""
     S = _svec_lift(A_cl, dirs)
     return _lift_verdict(S, np.shape(A_cl)[0])
 

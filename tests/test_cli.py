@@ -363,6 +363,14 @@ def test_check_mss_rejects_solver_flags(tmp_path):
     assert exc.value.code == 2
 
 
+def test_margins_rejects_bisect_tol(tmp_path):
+    # every margin method solves for its edge: no bisection reads the flag
+    path = write_problem(tmp_path, stable_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(["margins", path, "--method", "aux", "--bisect-tol", "1e-3"])
+    assert exc.value.code == 2
+
+
 def test_design_bisect_tol_reaches_bisection(tmp_path, capsys, monkeypatch):
     import multinoise.design as design_mod
 
@@ -425,10 +433,10 @@ def test_bad_solver_option_exit_two(tmp_path, capsys, no_solver_runs,
     ({}, ["solve-gare", "--tol", "nan"], "--tol"),
     ({}, ["solve-gare", "--max-iter", "-3"], "--max-iter"),
     ({}, ["design", "--algo", "1", "--blowup", "-1"], "--blowup"),
-    ({}, ["margins", "--method", "shared-uni", "--bisect-tol", "-0.001"],
+    ({}, ["design", "--algo", "1", "--bisect-tol", "-0.001"],
      "--bisect-tol"),
     ({"bisect_abs_tol": 0.0},
-     ["margins", "--method", "aux", "--bisect-tol", "0"], "--bisect-tol"),
+     ["design", "--algo", "1", "--bisect-tol", "0"], "--bisect-tol"),
 ])
 def test_bad_solver_flag_exit_two(tmp_path, capsys, no_solver_runs,
                                   options, argv, flag):

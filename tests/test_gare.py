@@ -5,6 +5,7 @@ import scipy.linalg
 
 from multinoise import (
     CostPair,
+    DimensionError,
     GareOptions,
     NoiseModel,
     NominalSystem,
@@ -240,6 +241,17 @@ def test_rejects_semidefinite_q():
     costs = CostPair(Q=[[0.0]], R=[[1.0]])
     with pytest.raises(ValueError):
         solve_gare(sys, NoiseModel(), costs)
+
+
+def test_misshaped_input_direction_is_a_dimension_error():
+    # NoiseModel checks only the row count of an input direction, since it
+    # does not know B; the solver checks each direction against (n, m)
+    sys = NominalSystem(A=np.eye(2), B=np.ones((2, 1)))
+    noise = NoiseModel(a_dirs=[(np.eye(2), 0.1)],
+                       b_dirs=[(np.eye(2), 0.1)])
+    costs = CostPair(Q=np.eye(2), R=np.eye(1))
+    with pytest.raises(DimensionError, match=r"b_dirs\[0\]"):
+        solve_gare(sys, noise, costs)
 
 
 def test_gain_with_input_noise_matches_direct_formula():
