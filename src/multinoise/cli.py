@@ -345,7 +345,8 @@ def _pendulum_table(report: dict) -> str:
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     lines = []
     for idx, row in enumerate(cells):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths))
+                     .rstrip())
         if idx == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
@@ -447,7 +448,7 @@ def main(argv=None) -> int:
     except (ProblemFormatError, GridSizeError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     # before ValueError, which LinAlgError subclasses

@@ -9,7 +9,10 @@ the margin-dependent factor so that its feasibility certifies two-sided
 margins. Gains are always evaluated at the last parameter value that
 passed the feasibility probe, never at an unresolved midpoint: near the
 feasibility boundary the value matrix blows up, and a returned gain must
-correspond to a certified parameter.
+correspond to a certified parameter. Both designs take their certificates
+from the builders in :mod:`multinoise.margins` that the margin methods use:
+the shared-Lyapunov box on the Riccati P for the first, the auxiliary-system
+box for the second.
 
 Runs are deterministic: identical inputs and options produce bit-identical
 gains.
@@ -17,7 +20,6 @@ gains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +29,15 @@ from .gare import GareOptions, GareSolution, feasible_gare_solution
 from .margins import (
     BisectOptions,
     MarginCertificate,
-    MarginMethod,
-    _confirmed_edge,
-    _margin_probe,
+    _aux_certificate,
+    _aux_scaling,
+    _shared_certificate,
     bisect_max_feasible,
 )
 from .matops import spectral_radius
 from .model import (
     CostPair,
+    DirList,
     NoiseModel,
     NominalSystem,
     PerturbationBox,
@@ -42,7 +45,6 @@ from .model import (
     UncertaintyStructure,
     closed_loop_substitution,
 )
-from .stability import solve_gle
 from .verify import grid_verify
 
 #: point budget for the inline worst-case grid diagnostic; explicit
@@ -106,14 +108,13 @@ def _grid_samples(count: int, requested: int) -> int:
 
 
 def _diagnostics(
-    sys: NominalSystem,
-    noise: NoiseModel,
+    A_cl: np.ndarray,
+    dirs: DirList,
     K: np.ndarray,
     box: PerturbationBox | None,
     opts: DesignOptions,
     true_system: TrueSystem | None,
 ) -> DesignDiagnostics:
-    A_cl, dirs = closed_loop_substitution(sys, noise, K)
     rho = spectral_radius(A_cl)
     worst = None
     if box is not None and box.bounds.size:
@@ -142,20 +143,22 @@ def certainty_equivalent(
     sol = feasible_gare_solution(sys, noise, costs, opts.gare)
     if sol is None:
         raise UnstabilizableError("nominal pair admits no stabilizing gain")
+    A_cl, dirs = closed_loop_substitution(sys, noise, sol.K)
     return DesignResult(
         K=sol.K,
         certificate=None,
         y_star=0.0,
         z_star=None,
-        diagnostics=_diagnostics(sys, noise, sol.K, None, opts, true_system),
+        diagnostics=_diagnostics(A_cl, dirs, sol.K, None, opts, true_system),
     )
 
 
 def _checked_structure(
     a_dir_mats, b_dir_mats, structure: UncertaintyStructure
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    a_mats = [np.asarray(D, dtype=float) for D in a_dir_mats]
-    b_mats = [np.asarray(D, dtype=float) for D in b_dir_mats]
+) -> NoiseModel:
+    """The directions as a zero-variance noise model, after checking them
+    against the structure."""
+    a_mats, b_mats = list(a_dir_mats), list(b_dir_mats)
     if len(a_mats) != structure.p or len(b_mats) != structure.q:
         raise DimensionError(
             f"{len(a_mats)}+{len(b_mats)} directions but structure has "
@@ -165,7 +168,8 @@ def _checked_structure(
         raise ValueError(
             "input-direction weights must be strictly positive for design"
         )
-    return a_mats, b_mats
+    return NoiseModel(a_dirs=[(D, 0.0) for D in a_mats],
+                      b_dirs=[(D, 0.0) for D in b_mats])
 
 
 def design_algorithm_1(
@@ -188,16 +192,12 @@ def design_algorithm_1(
     """
     if opts is None:
         opts = DesignOptions()
-    a_mats, b_mats = _checked_structure(a_dir_mats, b_dir_mats, structure)
-    theta, phi = structure.theta, structure.phi
+    base = _checked_structure(a_dir_mats, b_dir_mats, structure)
 
     last: GareSolution | None = None  # solution at the last feasible z
 
     def noise_at(z: float) -> NoiseModel:
-        return NoiseModel(
-            a_dirs=[(D, float(t * z)) for D, t in zip(a_mats, theta)],
-            b_dirs=[(D, float(f * z)) for D, f in zip(b_mats, phi)],
-        )
+        return base.with_variances(z * structure.theta, z * structure.phi)
 
     def feasible_z(z: float) -> bool:
         nonlocal last
@@ -212,31 +212,18 @@ def design_algorithm_1(
         raise UnstabilizableError(
             "no stabilizing gain exists even at zero noise"
         )
-    K, P = last.K, last.P
-    noise = noise_at(z_star)
-    A_cl, dirs = closed_loop_substitution(sys, noise, K)
-    q_term = costs.Q + K.T @ costs.R @ K
-    y_star, y_cap = _confirmed_edge(
-        *_margin_probe(A_cl, dirs, q_term, P, structure.weights),
-        opts.bisect.bracket_cap)
-    box = PerturbationBox(
-        eta=y_star * theta, psi=y_star * phi, bidirectional=False
-    )
-    cert = MarginCertificate(
-        box=box,
-        method=MarginMethod.SHARED_UNI,
-        y_star=y_star,
-        P=P,
-        q_matrix=q_term,
-        cap_hit=y_cap,
-    )
+    K = last.K
+    A_cl, dirs = closed_loop_substitution(sys, noise_at(z_star), K)
+    cert = _shared_certificate(A_cl, dirs, costs.Q + K.T @ costs.R @ K,
+                               last.P, structure, False,
+                               opts.bisect.bracket_cap)
     return DesignResult(
         K=K,
         certificate=cert,
-        y_star=y_star,
+        y_star=cert.y_star,
         z_star=z_star,
-        diagnostics=_diagnostics(sys, noise, K, box, opts, true_system),
-        cap_hit=z_cap or y_cap,
+        diagnostics=_diagnostics(A_cl, dirs, K, cert.box, opts, true_system),
+        cap_hit=z_cap or cert.cap_hit,
     )
 
 
@@ -260,28 +247,17 @@ def design_algorithm_2(
     """
     if opts is None:
         opts = DesignOptions()
-    a_mats, b_mats = _checked_structure(a_dir_mats, b_dir_mats, structure)
-    theta, phi = structure.theta, structure.phi
-    w = structure.weights
+    base = _checked_structure(a_dir_mats, b_dir_mats, structure)
+    w, p = structure.weights, structure.p
 
     last: GareSolution | None = None  # solution at the last feasible y
 
-    def scaled_problem(y: float) -> tuple[NominalSystem, NoiseModel, float]:
-        bounds = y * w
-        s = float(bounds.sum())
-        z = math.sqrt(1.0 + s)
-        noise = NoiseModel(
-            a_dirs=[(D, float(b * (1.0 + s)))
-                    for D, b in zip(a_mats, bounds[: structure.p])],
-            b_dirs=[(D, float(b * (1.0 + s)))
-                    for D, b in zip(b_mats, bounds[structure.p:])],
-        )
-        return NominalSystem(A=z * sys.A, B=z * sys.B), noise, z
-
     def feasible_y(y: float) -> bool:
         nonlocal last
-        scaled_sys, noise, _ = scaled_problem(y)
-        sol = feasible_gare_solution(scaled_sys, noise, costs, opts.gare)
+        z, var = _aux_scaling(y, w)
+        sol = feasible_gare_solution(
+            NominalSystem(A=z * sys.A, B=z * sys.B),
+            base.with_variances(var[:p], var[p:]), costs, opts.gare)
         if sol is not None:
             last = sol
         return sol is not None
@@ -293,26 +269,15 @@ def design_algorithm_2(
             "no stabilizing gain exists even at zero margins"
         )
     K = last.K
-    _, noise, z = scaled_problem(y_star)
-    box = PerturbationBox(
-        eta=y_star * theta, psi=y_star * phi, bidirectional=True
-    )
-    # steady-state solution of the auxiliary closed loop, the quadratic
-    # form that simultaneously certifies every sign corner of the box
-    A_cl, dirs = closed_loop_substitution(sys, noise, K)
-    aux = solve_gle(z * A_cl, dirs, np.eye(sys.n))
-    cert = MarginCertificate(
-        box=box,
-        method=MarginMethod.AUX_SCALED,
-        y_star=y_star,
-        P=aux.P,
-        cap_hit=y_cap,
-    )
+    # the steady-state solution of the auxiliary closed loop is the
+    # quadratic form that certifies every sign corner of the box at once
+    A_cl, dirs = closed_loop_substitution(sys, base, K)
+    cert = _aux_certificate(A_cl, dirs, structure, y_star, None, y_cap)
     return DesignResult(
         K=K,
         certificate=cert,
         y_star=y_star,
-        z_star=z,
-        diagnostics=_diagnostics(sys, noise, K, box, opts, true_system),
+        z_star=_aux_scaling(y_star, w)[0],
+        diagnostics=_diagnostics(A_cl, dirs, K, cert.box, opts, true_system),
         cap_hit=y_cap,
     )

@@ -63,11 +63,12 @@ class MarginMethod(str, Enum):
 class BisectOptions:
     """Bracket policy for feasibility bisections.
 
-    The bracket starts at [0, 1] and the upper end doubles until it turns
-    infeasible; hitting ``bracket_cap`` is reported as a distinct
-    ``cap_hit`` diagnostic (the margin is unbounded or degenerate) rather
-    than silently returned as a maximum. Only the designs bisect: the
-    margin methods solve for their edge and read only ``bracket_cap``.
+    The bracket starts at [0, 1] and the upper end doubles, clamped at
+    ``bracket_cap``, until it turns infeasible; a feasible cap is reported
+    as a distinct ``cap_hit`` diagnostic (the margin is unbounded or
+    degenerate) rather than silently returned as a maximum. Only the
+    designs bisect: the margin methods solve for their edge and read only
+    ``bracket_cap``.
     """
 
     rel_tol: float = 1e-6
@@ -103,20 +104,22 @@ def bisect_max_feasible(
     """Largest y >= 0 with ``feasible(y)`` true, for predicates that are
     monotone nonincreasing in y.
 
-    Returns ``(y, cap_hit)`` where y was itself evaluated feasible. If even
-    y = 0 is infeasible, returns (0.0, False) without claiming feasibility;
-    callers that need feasibility at zero must check it themselves.
+    Returns ``(y, cap_hit)`` where y was itself evaluated feasible, and
+    ``cap_hit`` when y is the bracket cap. If even y = 0 is infeasible,
+    returns (0.0, False) without claiming feasibility; callers that need
+    feasibility at zero must check it themselves.
     """
     if opts is None:
         opts = BisectOptions()
     if not feasible(0.0):
         return 0.0, False
-    lo, hi = 0.0, 1.0
+    cap = opts.bracket_cap
+    lo, hi = 0.0, min(1.0, cap)
     while feasible(hi):
         lo = hi
-        hi *= 2.0
-        if hi > opts.bracket_cap:
+        if hi >= cap:
             return lo, True
+        hi = min(2.0 * hi, cap)
     while hi - lo > opts.rel_tol * hi + opts.abs_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float left between the ends
@@ -276,6 +279,61 @@ def _split_box(bounds: np.ndarray, p: int, bidirectional: bool) -> PerturbationB
     )
 
 
+def _stable_gle(A_cl, dirs: DirList, Q) -> np.ndarray:
+    """The steady-state GLE solution P; NotMeanSquareStableError if the
+    instance is not mean-square stable."""
+    sol = solve_gle(A_cl, dirs, Q)
+    if not sol.mss:
+        raise NotMeanSquareStableError(
+            f"instance is not mean-square stable "
+            f"(moment radius {sol.moment_radius:.6g})"
+        )
+    return sol.P
+
+
+def _shared_certificate(A_cl, dirs: DirList, q_term, P, structure,
+                        bidirectional: bool, cap: float) -> MarginCertificate:
+    """Certificate of the form P: the margins y * weights at the confirmed
+    pencil edge of the margin inequality with constant term q_term."""
+    w = structure.weights
+    y_star, cap_hit = _confirmed_edge(
+        *_margin_probe(A_cl, dirs, q_term, P, w, bidirectional), cap)
+    return MarginCertificate(
+        box=_split_box(y_star * w, structure.p, bidirectional),
+        method=MarginMethod.SHARED_BI if bidirectional else MarginMethod.SHARED_UNI,
+        y_star=y_star,
+        P=P,
+        q_matrix=q_term,
+        cap_hit=cap_hit,
+    )
+
+
+def _aux_scaling(y: float, w) -> tuple[float, np.ndarray]:
+    """The auxiliary system at margins eta = y * w: its dynamics factor
+    sqrt(1 + sum eta) and the matched variances eta (1 + sum eta)."""
+    eta = y * w
+    s = float(eta.sum())
+    return math.sqrt(1.0 + s), eta * (1.0 + s)
+
+
+def _aux_certificate(A_cl, dirs: DirList, structure, y: float, q_cert,
+                     cap_hit: bool) -> MarginCertificate:
+    """Certificate of the two-sided box y * weights whose P solves the GLE
+    of the auxiliary closed loop at y, with constant term q_cert (default
+    I). The variances stored in ``dirs`` are not read."""
+    w = structure.weights
+    z, var = _aux_scaling(y, w)
+    aux = solve_gle(z * A_cl, list(zip(_dir_mats(dirs), var)),
+                    _check_q_eff(q_cert, len(A_cl)))
+    return MarginCertificate(
+        box=_split_box(y * w, structure.p, True),
+        method=MarginMethod.AUX_SCALED,
+        y_star=y,
+        P=aux.P,
+        cap_hit=cap_hit,
+    )
+
+
 def shared_lyapunov_margins(
     A_cl,
     dirs: DirList,
@@ -301,26 +359,10 @@ def shared_lyapunov_margins(
     Q_eff = _check_q_eff(Q_eff, n)
     if not is_psd(Q_eff - np.eye(n)):
         raise ValueError("Q_eff must dominate the identity (Q_eff >= I)")
-    count = len(dirs)
-    q_term = count * Q_eff
-    sol = solve_gle(A_cl, dirs, q_term)
-    if not sol.mss:
-        raise NotMeanSquareStableError(
-            f"instance is not mean-square stable "
-            f"(moment radius {sol.moment_radius:.6g})"
-        )
-    w = structure.weights
-    y_star, cap_hit = _confirmed_edge(
-        *_margin_probe(A_cl, dirs, q_term, sol.P, w, bidirectional),
-        (bisect_opts or BisectOptions()).bracket_cap)
-    return MarginCertificate(
-        box=_split_box(y_star * w, structure.p, bidirectional),
-        method=MarginMethod.SHARED_BI if bidirectional else MarginMethod.SHARED_UNI,
-        y_star=y_star,
-        P=sol.P,
-        q_matrix=q_term,
-        cap_hit=cap_hit,
-    )
+    q_term = len(dirs) * Q_eff
+    return _shared_certificate(
+        A_cl, dirs, q_term, _stable_gle(A_cl, dirs, q_term), structure,
+        bidirectional, (bisect_opts or BisectOptions()).bracket_cap)
 
 
 def _single_dir_condition(zeta, alpha, Q_eff, DPD, cross_plus) -> bool:
@@ -349,15 +391,9 @@ def single_direction_margin(
     Q_eff = _check_q_eff(Q_eff, n)
     if alpha1 < 0:
         raise ValueError("alpha1 must be nonnegative")
-    sol = solve_gle(A_cl, [(A1, alpha1)], Q_eff)
-    if not sol.mss:
-        raise NotMeanSquareStableError(
-            f"instance is not mean-square stable "
-            f"(moment radius {sol.moment_radius:.6g})"
-        )
+    P = _stable_gle(A_cl, [(A1, alpha1)], Q_eff)
     if alpha1 == 0.0:  # the margin collapses with the variance
         return 0.0, 0.0
-    P = sol.P
     DPD = A1.T @ P @ A1
     cross_plus = pos_part(A_cl.T @ P @ A1 + A1.T @ P @ A_cl)
     y_zero = math.sqrt(alpha1)  # the y = 1/t at which zeta is 0
@@ -442,13 +478,7 @@ def conservative_margins(
     if n_state_dirs is None:
         n_state_dirs = count
     q_term = count * Q_eff
-    sol = solve_gle(A_cl, dirs, q_term)
-    if not sol.mss:
-        raise NotMeanSquareStableError(
-            f"instance is not mean-square stable "
-            f"(moment radius {sol.moment_radius:.6g})"
-        )
-    P = sol.P
+    P = _stable_gle(A_cl, dirs, q_term)
     zetas = np.zeros(count)
     caps = np.zeros(count)
     for k, (D, a) in enumerate(dirs):
@@ -558,14 +588,9 @@ def aux_system_margins(
     w = structure.weights
     mats = _dir_mats(dirs)
 
-    def aux_system(y: float) -> tuple[np.ndarray, DirList]:
-        eta = y * w
-        s = float(eta.sum())
-        return (math.sqrt(1.0 + s) * A_cl,
-                [(D, e * (1.0 + s)) for D, e in zip(mats, eta)])
-
     def holds(y: float) -> bool:
-        return _mss_holds(*aux_system(y))
+        z, var = _aux_scaling(y, w)
+        return _mss_holds(z * A_cl, list(zip(mats, var)))
 
     if not holds(0.0):
         return MarginCertificate(
@@ -578,14 +603,7 @@ def aux_system_margins(
     y_star, cap_hit = _confirmed_edge(
         (np.eye(len(M0)) - M0, M0 + M1, M1), holds,
         (bisect_opts or BisectOptions()).bracket_cap)
-    aux_sol = solve_gle(*aux_system(y_star), _check_q_eff(q_cert, len(A_cl)))
-    return MarginCertificate(
-        box=_split_box(y_star * w, structure.p, True),
-        method=MarginMethod.AUX_SCALED,
-        y_star=y_star,
-        P=aux_sol.P,
-        cap_hit=cap_hit,
-    )
+    return _aux_certificate(A_cl, dirs, structure, y_star, q_cert, cap_hit)
 
 
 def compute_margins(

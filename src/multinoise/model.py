@@ -230,7 +230,7 @@ class CostPair:
         self.R = symmetrize(self.R)
         if not is_psd(self.Q):
             raise ValueError("Q must be positive semidefinite")
-        if not is_psd(self.R, tol=0.0) or np.linalg.eigvalsh(self.R)[0] <= 0:
+        if not np.linalg.eigvalsh(self.R)[0] > 0.0:
             raise ValueError("R must be positive definite")
 
 

@@ -1,12 +1,14 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.linalg as la
 import pytest
 
 from multinoise import NumericalError
-from multinoise.cli import main
+from multinoise.cli import _pendulum_table, main
 from multinoise.problems import inverted_pendulum, problem_to_dict
 
 
@@ -244,6 +246,17 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert main(["check-mss", bad]) == 2
 
 
+def test_directory_path_exit_two(tmp_path, capsys):
+    # a directory where a file is expected is bad input, not an infeasible
+    # instance, and ends in one error line rather than a traceback
+    assert main(["check-mss", str(tmp_path)]) == 2
+    problem = write_problem(tmp_path, pendulum_doc())
+    assert main(["verify-grid", problem, "--cert", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_exit_three(tmp_path, capsys, monkeypatch):
     path = write_problem(tmp_path, stable_doc())
     import multinoise.cli as cli_mod
@@ -315,6 +328,40 @@ def test_reproduce_pendulum_json(capsys):
     assert out["open_loop"]["rho_closed_loop"] == pytest.approx(1.223, abs=0.01)
     assert out["algorithm_1"]["eta_1"] == pytest.approx(6.997, rel=0.05)
     assert out["algorithm_2"]["eta_1"] == pytest.approx(3.970, rel=0.05)
+
+
+def _readme_pendulum_table():
+    """The table that the README prints for ``reproduce-pendulum``, as
+    {row label: [cell per column]}."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text[text.index("```\nparameter ") + 4:]
+    lines = block[:block.index("```")].splitlines()
+    return {row[0]: row[1:] for row in
+            (re.split(r" {2,}", line) for line in lines[2:])}
+
+
+def test_readme_pendulum_table_matches_reproduce_pendulum(capsys):
+    code, report = run_json(capsys, ["reproduce-pendulum"])
+    assert code == 0
+    table = _pendulum_table(report)
+    assert all(line == line.rstrip() for line in table.splitlines())
+    columns = ["open_loop", "certainty_equivalent", "algorithm_1",
+               "algorithm_2"]
+    keys = {"K": "K", "rho(true closed loop)": "rho_true_closed_loop",
+            "rho(nominal closed loop)": "rho_closed_loop", "eta_1": "eta_1",
+            "max rho over box": "worst_box_rho"}
+    readme = _readme_pendulum_table()
+    assert set(readme) == set(keys)
+    for label, key in keys.items():
+        for column, cell in zip(columns, readme[label], strict=True):
+            got = report[column][key]
+            if cell == "-":
+                assert got is None, (label, column)
+                continue
+            want = np.array(cell.strip("[]").split(), dtype=float)
+            np.testing.assert_allclose(np.ravel(got), want, rtol=1e-5,
+                                       atol=0.0, err_msg=f"{label}, {column}")
 
 
 def test_table_format_six_significant_digits(tmp_path, capsys):

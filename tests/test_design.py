@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -15,8 +18,12 @@ from multinoise import (
     design_algorithm_1,
     design_algorithm_2,
     grid_verify,
+    nlmi_feasible,
 )
 from multinoise.gare import feasible_gare_solution
+from multinoise.stability import _mss_holds
+
+from conftest import direct_margin_matrix
 
 
 
@@ -126,14 +133,18 @@ def test_algorithm_2_certificate_covers_sign_corners(pendulum, pendulum_alg2):
         assert is_psd(cert.P - M.T @ cert.P @ M)
 
 
-def test_design_with_input_uncertainty_stays_sound():
-    rng = np.random.default_rng(40)
+def _input_noise_plant():
     sys = NominalSystem(A=np.array([[0.9, 0.3], [0.0, 0.8]]),
                         B=np.array([[0.0], [1.0]]))
     costs = CostPair(Q=np.eye(2), R=np.eye(1))
     a_mats = [np.array([[0.0, 1.0], [0.0, 0.0]])]
     b_mats = [np.array([[0.0], [1.0]])]
     structure = UncertaintyStructure(theta=[1.0], phi=[0.5])
+    return sys, costs, a_mats, b_mats, structure
+
+
+def test_design_with_input_uncertainty_stays_sound():
+    sys, costs, a_mats, b_mats, structure = _input_noise_plant()
     for fn in (design_algorithm_1, design_algorithm_2):
         res = fn(sys, costs, a_mats, b_mats, structure)
         assert res.certificate.box.eta.size == 1
@@ -186,3 +197,86 @@ def test_algorithm_2_gain_growth_along_bisection(pendulum):
         assert sol is not None
         norms.append(la.norm(sol.K))
     assert all(b >= a for a, b in zip(norms, norms[1:]))
+
+
+def test_algorithm_1_frontier_below_a_bracket_cap_that_is_no_power_of_two(
+        pendulum, pendulum_alg1):
+    # the pendulum's variance frontier, 98.14, lies between 64 and a cap of
+    # 100; the bracket is clamped at the cap and bisected, not cut at 64
+    opts = DesignOptions(
+        gare=pendulum.gare_options,
+        bisect=dataclasses.replace(pendulum.bisect_options, bracket_cap=100.0),
+    )
+    a_mats = [D for D, _ in pendulum.noise.a_dirs]
+    res = design_algorithm_1(pendulum.system, pendulum.costs, a_mats, [],
+                             pendulum.structure, opts)
+    assert not res.cap_hit
+    assert res.z_star == pytest.approx(pendulum_alg1.z_star, rel=1e-5)
+    assert 64.0 < res.z_star < 100.0
+
+
+def _not_psd(S):
+    """S has a negative diagonal entry, or a negative eigenvalue after the
+    diagonal congruence that gives S a unit diagonal. The congruence keeps
+    the inertia and makes the eigenvalues' rounding error relative to the
+    scale of each entry, not to the norm of S."""
+    d = np.diag(S)
+    if np.any(d < 0.0):
+        return True
+    return la.eigvalsh(S / np.sqrt(np.outer(d, d)))[0] < 0.0
+
+
+@pytest.fixture(scope="module")
+def design_instances(pendulum, pendulum_alg1, pendulum_alg2):
+    """The pendulum designs, and both designs of the input-noise plant with
+    the pendulum's stopping rule, as (plant, algorithm 1, algorithm 2)."""
+    sys, costs, a_mats, b_mats, structure = _input_noise_plant()
+    opts = DesignOptions(gare=pendulum.gare_options,
+                         bisect=pendulum.bisect_options)
+    return [
+        ((pendulum.system, [D for D, _ in pendulum.noise.a_dirs], [],
+          pendulum.structure), pendulum_alg1, pendulum_alg2),
+        ((sys, a_mats, b_mats, structure),
+         design_algorithm_1(sys, costs, a_mats, b_mats, structure, opts),
+         design_algorithm_2(sys, costs, a_mats, b_mats, structure, opts)),
+    ]
+
+
+def test_algorithm_1_certificate_reproves_from_its_own_data(design_instances):
+    # the shared form P and constant term q_matrix prove the stored box on
+    # the closed loop at the variance frontier z*, and the box is tight
+    for (sys, a_mats, b_mats, st), res, _ in design_instances:
+        cert, z = res.certificate, res.z_star
+        noise = NoiseModel(
+            a_dirs=[(D, z * t) for D, t in zip(a_mats, st.theta)],
+            b_dirs=[(D, z * f) for D, f in zip(b_mats, st.phi)],
+        )
+        A_cl, dirs = closed_loop_substitution(sys, noise, res.K)
+        assert nlmi_feasible(A_cl, dirs, cert.q_matrix, cert.P, cert.box.bounds)
+        # nlmi_feasible's tolerance, 1e-9 of the norm, would let the larger
+        # box pass on the input-noise plant, whose margin matrix has norm
+        # 3.6e11; its first diagonal entry is already -1e-6 there
+        bigger = cert.box.bounds * (1.0 + 1e-6)
+        assert _not_psd(direct_margin_matrix(A_cl, dirs, cert.q_matrix,
+                                             cert.P, bigger))
+
+
+def test_algorithm_2_certificate_reproves_from_its_own_data(design_instances):
+    # the stored P solves the GLE of the auxiliary closed loop at y* with
+    # Q = I, and that auxiliary loop is mean-square stable
+    for (sys, a_mats, b_mats, _), _, res in design_instances:
+        cert = res.certificate
+        eta = cert.box.bounds
+        scale = 1.0 + float(eta.sum())
+        nominal = NoiseModel(a_dirs=[(D, 0.0) for D in a_mats],
+                             b_dirs=[(D, 0.0) for D in b_mats])
+        A_cl, dirs = closed_loop_substitution(sys, nominal, res.K)
+        A_aux = math.sqrt(scale) * A_cl
+        aux_dirs = [(D, e * scale) for (D, _), e in zip(dirs, eta)]
+        P = cert.P
+        residual = P - A_aux.T @ P @ A_aux - np.eye(sys.n)
+        for D, v in aux_dirs:
+            residual -= v * (D.T @ P @ D)
+        assert la.norm(residual) <= 1e-8 * la.norm(P)
+        assert _mss_holds(A_aux, aux_dirs)
+        assert res.z_star == pytest.approx(math.sqrt(scale), rel=1e-12)

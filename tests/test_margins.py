@@ -538,6 +538,37 @@ def test_bisect_max_feasible_ends_at_float_resolution():
     assert y == 0.3 or np.nextafter(y, 1.0) == 0.3
 
 
+@pytest.mark.parametrize("cap, frontier", [(3.0, 2.5), (1e6, 6e5), (0.5, 98.0)])
+def test_bisect_max_feasible_clamps_the_bracket_at_the_cap(cap, frontier):
+    # a cap that is no power of two still bounds every probe, a frontier
+    # below it is bisected, and a hit is reported only for a feasible cap
+    probes = []
+
+    def feasible(y):
+        probes.append(y)
+        return y <= frontier
+
+    y, cap_hit = bisect_max_feasible(feasible, BisectOptions(bracket_cap=cap))
+    assert max(probes) <= cap
+    if frontier < cap:
+        assert not cap_hit
+        assert y <= frontier and y == pytest.approx(frontier, rel=2e-6)
+    else:
+        assert cap_hit and y == cap
+
+
+def test_bisect_max_feasible_default_cap_probes_powers_of_two():
+    # the default cap is a power of two, reached by plain doubling
+    probes = []
+
+    def feasible(y):
+        probes.append(y)
+        return True
+
+    assert bisect_max_feasible(feasible) == (2.0 ** 60, True)
+    assert probes == [0.0] + [2.0 ** k for k in range(61)]
+
+
 # ------------------------------------------- inequality split per certificate
 #
 # The margin scalings split the y-independent parts of the inequality once

@@ -64,8 +64,11 @@ def test_perturbation_box_validation():
 
 def test_cost_pair_validation():
     CostPair(Q=np.eye(2), R=np.eye(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="R must be positive definite"):
         CostPair(Q=np.eye(2), R=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="R must be positive definite"):
+        CostPair(Q=np.eye(2), R=np.diag([1.0, -1e-300]))
+    CostPair(Q=np.eye(2), R=np.diag([1.0, 1e-300]))
     with pytest.raises(ValueError):
         CostPair(Q=-np.eye(2), R=np.eye(1))
     with pytest.raises(ValueError):
