@@ -153,6 +153,16 @@ def certainty_equivalent(
     )
 
 
+def _checked_options(opts: DesignOptions | None) -> DesignOptions:
+    """The options, or the defaults, checked before the first probe so that
+    a bad grid size is not found only after the whole bisection."""
+    if opts is None:
+        return DesignOptions()
+    if opts.grid_samples_per_dir < 2:
+        raise ValueError("grid_samples_per_dir must be >= 2")
+    return opts
+
+
 def _checked_structure(
     a_dir_mats, b_dir_mats, structure: UncertaintyStructure
 ) -> NoiseModel:
@@ -190,8 +200,7 @@ def design_algorithm_1(
     shared-quadratic-form inequality with constant term Q + K^T R K,
     evaluated on the closed loop with the input directions folded in.
     """
-    if opts is None:
-        opts = DesignOptions()
+    opts = _checked_options(opts)
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
 
     last: GareSolution | None = None  # solution at the last feasible z
@@ -245,8 +254,7 @@ def design_algorithm_2(
     auxiliary problem certifies the two-sided box, and the returned gain is
     the optimal gain of the auxiliary problem at the largest feasible y.
     """
-    if opts is None:
-        opts = DesignOptions()
+    opts = _checked_options(opts)
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
     w, p = structure.weights, structure.p
 

@@ -2,11 +2,17 @@
 computation for multiplicative-noise LQR.
 
 The fixed point is found by value iteration started from the state cost
-matrix. Divergence of the iterates doubles as the mean-square
-stabilizability probe used by the design bisections: when no finite value
-exists, the iterates grow without bound, and when the noise parameters sit
-near the stabilizability boundary the iteration converges arbitrarily
-slowly, so the iteration cap acts as the effective feasibility boundary.
+matrix. A step is the Schur complement of the inner input block in the
+joint quadratic form Z(P) = [[Q + A^T P A + ..., A^T P B], [B^T P A,
+R + B^T P B + ...]] (Damm, *Rational Matrix Equations in Stochastic
+Control*, 2004): one matrix-vector product gives the lower triangle of Z
+from svec(P), and m elimination steps on that vector leave svec of the
+next iterate, with no linear solve until the gain at convergence.
+Divergence of the iterates doubles as the mean-square stabilizability
+probe used by the design bisections: when no finite value exists, the
+iterates grow without bound, and when the noise parameters sit near the
+stabilizability boundary the iteration converges arbitrarily slowly, so
+the iteration cap acts as the effective feasibility boundary.
 
 Semidefinite-programming formulations of the same fixed point are not
 implemented; value iteration is the sole solver.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import numpy.linalg as la
@@ -40,7 +47,7 @@ __all__ = [
 class GareOptions:
     """Stopping policy for the value iteration.
 
-    Convergence: ||P_{t+1} - P_t||_F <= tol_abs + tol_rel * ||P_t||_F.
+    Convergence: ||P_{t+1} - P_t||_F <= tol_abs + tol_rel * ||P_{t+1}||_F.
     Divergence: ||P_t||_F > blowup, or a non-finite iterate; it signals
     mean-square unstabilizability at the given parameters. The design
     probes read divergence and the iteration cap alike as infeasible;
@@ -75,22 +82,57 @@ class GareSolution:
         return self.status == "converged"
 
 
+@cache
+def _schur_layout(n: int, m: int):
+    """Index maps of the lifted Schur matrix Z = [[Q + L(P), H(P)^T],
+    [H(P), R + G(P)]], stored as the row-major lower triangle
+    (``np.tril_indices(n + m)``) of Z with its variables ordered as the
+    states, then the inputs, last input first.
+
+    In that order the first N = n(n+1)/2 entries are svec(Q + L(P)), and
+    input k sits at position p = n + m - 1 - k, so once inputs 0..k-1 are
+    eliminated, what is left is the leading p + 1 rows. Each pivot is
+    (base, kk, ik, jk): eliminating input k updates z[:base], its pivot is
+    z[kk], and ik, jk index the entries of its row that multiply into each
+    of z[:base]. ``inner`` and ``cross`` index R + G(P) (m x m) and
+    H(P) = B^T P A (m x n) in input order.
+    """
+    R, C = np.tril_indices(n + m)
+    pos = n + m - 1 - np.arange(m)  # position of input k
+    start = pos * (pos + 1) // 2  # flat index of the row of input k
+    pivots = tuple((int(b), int(b + p), b + R[:b], b + C[:b])
+                   for b, p in zip(start, pos))
+    hi, lo = np.maximum.outer(pos, pos), np.minimum.outer(pos, pos)
+    inner = hi * (hi + 1) // 2 + lo
+    cross = start[:, None] + np.arange(n)
+    for _, _, ik, jk in pivots:
+        ik.flags.writeable = jk.flags.writeable = False
+    inner.flags.writeable = cross.flags.writeable = False
+    return pivots, inner, cross
+
+
 def _lifted_step_operators(sys: NominalSystem, noise: NoiseModel):
-    # The three lifts stacked as [L; H; G] on svec(P), so that one matvec
-    # gives svec(A^T P A + sum_i alpha_i A_i^T P A_i) and, row-major,
-    # B^T P A and B^T P B + sum_j beta_j B_j^T P B_j; each iteration is
-    # then one matvec plus an m x m solve, which matters when bisection
-    # drives thousands of near-boundary solves. All three come from the
-    # builder of the moment lift, so P is never formed until the end.
+    # The matrix of svec(P) -> Z(P) - [[Q, 0], [0, R]] in the order of
+    # _schur_layout. Its state rows are the moment lift of (A, a_dirs).
+    # Its input rows are one lift with U_t = B_t and V_t = [A_t | B_t],
+    # A_0 = A and the other A_t zero, inputs last first: input k's row
+    # holds row k of B^T P A and of B^T P B + sum_j beta_j B_j^T P B_j.
+    # Each iteration is then one matvec plus m pivots, with no linear
+    # solve, which matters when bisection drives thousands of
+    # near-boundary solves. Both come from the builder of the moment lift,
+    # so P is never formed until the end.
     A, B = sys.A, sys.B
     n, m = sys.n, sys.m
     b_dirs = [(D, b) for D, b in noise.b_dirs if b != 0.0]
-    Bs = np.stack([B] + [D for D, _ in b_dirs])
+    Bs = np.stack([B] + [D for D, _ in b_dirs])[:, :, ::-1]
+    As = np.zeros((len(Bs), n, n))
+    As[0] = A
     b_weights = np.array([1.0] + [b for _, b in b_dirs])
-    pairs = np.divmod(np.arange(m * n), n)  # (k, l) of B^T P A, row-major
-    H = _svec_map_lift(B[None], A[None], np.ones(1), *pairs)
-    G = _svec_map_lift(Bs, Bs, b_weights, *np.divmod(np.arange(m * m), m))
-    return np.vstack([_svec_lift(A, noise.a_dirs), H, G])
+    R, C = np.tril_indices(n + m)
+    N = n * (n + 1) // 2
+    inputs = _svec_map_lift(Bs, np.concatenate([As, Bs], axis=2), b_weights,
+                            R[N:] - n, C[N:])
+    return np.vstack([_svec_lift(A, noise.a_dirs), inputs])
 
 
 def solve_gare(
@@ -104,10 +146,14 @@ def solve_gare(
     P_{t+1} = Q + A^T P A + sum_i alpha_i A_i^T P A_i
               - A^T P B (R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A
 
-    Requires Q > 0 and R > 0. On convergence the optimal gain
-    K = -(R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A is returned;
-    whether its closed loop is mean-square stable is checked separately by
-    :func:`feasible_gare_solution`.
+    Requires Q > 0 and R > 0. Each step is the Schur complement of the
+    inner block in Z = [[Q + A^T P A + ..., A^T P B], [B^T P A, R + ...]],
+    taken as m unpivoted elimination steps on the lifted lower triangle of
+    Z; the inner block is positive definite since R > 0 and P >= Q, so a
+    finite pivot <= 0 raises :class:`NumericalError`. On convergence the
+    optimal gain K = -(R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A
+    is returned; whether its closed loop is mean-square stable is checked
+    separately by :func:`feasible_gare_solution`.
     """
     if opts is None:
         opts = GareOptions()
@@ -116,32 +162,31 @@ def solve_gare(
         raise ValueError("Q must be positive definite for the value iteration")
     n, m = sys.n, sys.m
     R, C, eye = _svec_maps(n)
-    N, mn = R.size, m * n
-    lower = R * n + C  # flat indices of the svec coordinates
+    N = eye.size
+    pivots, inner, cross = _schur_layout(n, m)
     # off-diagonal svec coordinates stand for two entries of P, so these
     # weights make the norms below Frobenius norms
     w = 2.0 - eye
     S = _lifted_step_operators(sys, noise)
+    q = costs.Q[R, C]
+    const = np.zeros(len(S))  # the lifted [[Q, 0], [0, R]]
+    const[:N] = q
+    const[inner] = costs.R
 
-    def lifted_terms(s):
-        # (svec of the state term, B^T P A, inner^-1 B^T P A) at svec(P) = s
-        v = S @ s
-        BtPA = v[N:N + mn].reshape(m, n)
-        inner = costs.R + v[N + mn:].reshape(m, m)
-        try:
-            X = la.solve(inner, BtPA)
-        except la.LinAlgError as exc:
-            raise NumericalError(
-                f"inner input-weight matrix is singular: {exc}"
-            ) from exc
-        return v[:N], BtPA, X
-
-    q = costs.Q.take(lower)
     s = q
     iterations = 0
     while iterations < opts.max_iter:
-        Ls, BtPA, X = lifted_terms(s)
-        s_next = q + Ls - (BtPA.T @ X).take(lower)
+        z = S @ s
+        z += const
+        for base, kk, ik, jk in pivots:
+            # a non-finite pivot is left to the non_finite status
+            piv = z.item(kk)
+            if piv <= 0.0 and math.isfinite(piv):
+                raise NumericalError(
+                    "inner input-weight matrix is not positive definite"
+                )
+            z[:base] -= z.take(ik) * z.take(jk) / piv
+        s_next = z[:N]
         step = s_next - s
         diff = math.sqrt(step @ (w * step))
         pnorm = math.sqrt(s_next @ (w * s_next))
@@ -152,8 +197,9 @@ def solve_gare(
             return GareSolution(P=None, K=None, iterations=iterations,
                                 status=status)
         if diff <= opts.tol_abs + opts.tol_rel * pnorm:
-            _, _, X = lifted_terms(s)
-            return GareSolution(P=_unsvec(s, n), K=-X, iterations=iterations,
+            z = S @ s + const
+            K = -la.solve(z[inner], z[cross])
+            return GareSolution(P=_unsvec(s, n), K=K, iterations=iterations,
                                 status="converged")
     return GareSolution(P=None, K=None, iterations=iterations,
                         status="iteration_cap")

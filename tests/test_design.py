@@ -20,6 +20,7 @@ from multinoise import (
     grid_verify,
     nlmi_feasible,
 )
+from multinoise import gare
 from multinoise.gare import feasible_gare_solution
 from multinoise.stability import _mss_holds
 
@@ -164,6 +165,21 @@ def test_design_rejects_nonpositive_phi():
     structure = UncertaintyStructure(theta=[1.0], phi=[0.0])
     with pytest.raises(ValueError):
         design_algorithm_1(sys, costs, [np.eye(2)], [np.eye(2)], structure)
+
+
+@pytest.mark.parametrize("design", [design_algorithm_1, design_algorithm_2])
+def test_design_rejects_bad_grid_samples_before_any_probe(
+        pendulum, monkeypatch, design):
+    calls = []
+    solve = gare.solve_gare
+    monkeypatch.setattr(gare, "solve_gare",
+                        lambda *args: calls.append(1) or solve(*args))
+    a_mats = [D for D, _ in pendulum.noise.a_dirs]
+    opts = DesignOptions(grid_samples_per_dir=1)
+    with pytest.raises(ValueError, match="grid_samples_per_dir"):
+        design(pendulum.system, pendulum.costs, a_mats, [],
+               pendulum.structure, opts)
+    assert not calls
 
 
 def test_controllability_rank_invariant_under_scaling():

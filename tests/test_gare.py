@@ -9,10 +9,12 @@ from multinoise import (
     GareOptions,
     NoiseModel,
     NominalSystem,
+    NumericalError,
     closed_loop_substitution,
     is_mean_square_stable,
     solve_gare,
 )
+from multinoise import gare
 from multinoise.gare import feasible_gare_solution
 
 from conftest import direct_value_step, random_mss_instance
@@ -73,9 +75,10 @@ def test_value_iteration_step_zero_b_reduces_to_quadratic_recursion():
     np.testing.assert_allclose(stepped, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (4, 1), (4, 2), (6, 1),
-                                  (6, 2)])
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (4, 1), (4, 2), (4, 3),
+                                  (6, 1), (6, 2), (6, 3)])
 def test_value_iteration_step_with_input_noise_matches_direct_form(n, m):
+    # m = 3 has a pivot that updates a later input's cross and inner entries
     rng = np.random.default_rng(100 + 10 * n + m)
     sys = NominalSystem(A=rng.normal(size=(n, n)) / np.sqrt(n),
                         B=rng.normal(size=(n, m)))
@@ -177,6 +180,50 @@ def test_status_non_finite_when_an_iterate_overflows():
     sol = solve_gare(sys, NoiseModel(), costs)
     assert sol.status == "non_finite" and sol.iterations == 1
     assert not sol.converged
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("A, B", [
+    ([[1.0]], [[1e160]]),
+    (np.eye(2), [[1e200, 0.0], [0.0, 1.0]]),  # one of two inputs
+])
+def test_status_non_finite_when_the_inner_matrix_overflows(A, B):
+    # B^T P B is infinite at P_0 = Q; an infinite pivot must not eliminate
+    # its input as if the input weighed nothing, which would leave finite
+    # iterates growing until the iteration cap
+    sys = NominalSystem(A=A, B=B)
+    costs = CostPair(Q=np.eye(sys.n), R=np.eye(sys.m))
+    sol = solve_gare(sys, NoiseModel(), costs)
+    assert sol.status == "non_finite" and sol.iterations == 1
+    assert not sol.converged
+
+
+def test_inner_matrix_that_rounds_to_singular_is_a_numerical_error():
+    # R + B^T P B = [[1 + 1e18, 1e18], [1e18, 1 + 1e18]] rounds to a
+    # singular matrix, so the second pivot is exactly zero
+    sys = NominalSystem(A=[[1.0]], B=[[1e9, 1e9]])
+    costs = CostPair(Q=[[1.0]], R=np.eye(2))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        solve_gare(sys, NoiseModel(), costs)
+
+
+def test_converged_solve_takes_no_linear_solve_per_iteration(monkeypatch):
+    # the loop eliminates the inputs by pivots; only the gain at
+    # convergence solves with the inner matrix
+    calls = []
+    solve = gare.la.solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(gare.la, "solve", counted)
+    # state noise near the stabilizability edge slows the iteration down
+    sys = NominalSystem(A=[[1.0, 0.5], [0.0, 1.0]], B=np.eye(2))
+    noise = NoiseModel(a_dirs=[(np.eye(2), 0.9)])
+    sol = solve_gare(sys, noise, CostPair(Q=np.eye(2), R=np.eye(2)), TIGHT)
+    assert sol.converged and sol.iterations >= 100
+    assert len(calls) <= 1
 
 
 def test_huge_variance_unstabilizable(pendulum):
