@@ -8,6 +8,11 @@ R + B^T P B + ...]] (Damm, *Rational Matrix Equations in Stochastic
 Control*, 2004): one matrix-vector product gives the lower triangle of Z
 from svec(P), and m elimination steps on that vector leave svec of the
 next iterate, with no linear solve until the gain at convergence.
+The iterates are computed in blocks, 8 first and then doubling up to 64,
+and the stopping rule and the divergence test are evaluated once per block
+for all of its iterates; the solve returns at the first iterate that meets
+either, so its result is the per-step rule's, with at most 63 iterates
+computed past the stop and discarded.
 Divergence of the iterates doubles as the mean-square stabilizability
 probe used by the design bisections: when no finite value exists, the
 iterates grow without bound, and when the noise parameters sit near the
@@ -21,6 +26,7 @@ implemented; value iteration is the sole solver.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -52,6 +58,14 @@ class GareOptions:
     mean-square unstabilizability at the given parameters. The design
     probes read divergence and the iteration cap alike as infeasible;
     :attr:`GareSolution.status` says which limit stopped the iteration.
+
+    Both tests are evaluated once per block of iterates (8, then doubling
+    up to 64), and the solve stops at the first iterate of the block that
+    meets either, so the result equals the per-step rule's: the same
+    stopping iterate, with at most 63 iterates discarded per solve.
+    ``tol_abs`` and ``tol_rel`` must be finite and >= 0, ``blowup`` finite
+    and > 0, and ``max_iter`` an integer >= 1; :func:`solve_gare` raises
+    ``ValueError`` naming the field otherwise.
     """
 
     tol_abs: float = 1e-10
@@ -80,6 +94,39 @@ class GareSolution:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+
+#: block sizes of the value iteration: the first block, doubled per block
+#: up to the last. The tests cost a few array calls per block, and a stop
+#: discards the rest of its block, at most _LAST_BLOCK - 1 iterates, which
+#: solves that stop within a few dozen iterations feel most
+_FIRST_BLOCK = 8
+_LAST_BLOCK = 64
+
+
+def _checked_options(opts: GareOptions | None) -> GareOptions:
+    """The options, or the defaults, under the rules of the problem
+    files' options. A NaN or negative tolerance, a non-positive blowup or a
+    cap below one iteration lets no solve converge, so a design would read
+    a stabilizable plant as unstabilizable; an infinite tolerance accepts
+    the first iterate as the fixed point."""
+    if opts is None:
+        return GareOptions()
+    for name, rule in (("tol_abs", ">= 0"), ("tol_rel", ">= 0"),
+                       ("blowup", "> 0")):
+        x = getattr(opts, name)
+        if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+                or not 0.0 <= x < math.inf or (rule == "> 0" and x == 0.0)):
+            raise ValueError(
+                f"GareOptions.{name} must be finite and {rule}, got {x!r}"
+            )
+    cap = opts.max_iter
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) \
+            or cap < 1:
+        raise ValueError(
+            f"GareOptions.max_iter must be an integer >= 1, got {cap!r}"
+        )
+    return opts
 
 
 @cache
@@ -155,8 +202,7 @@ def solve_gare(
     is returned; whether its closed loop is mean-square stable is checked
     separately by :func:`feasible_gare_solution`.
     """
-    if opts is None:
-        opts = GareOptions()
+    opts = _checked_options(opts)
     _check_dir_shapes(sys, noise)
     if la.eigvalsh(symmetrize(costs.Q))[0] <= 0:
         raise ValueError("Q must be positive definite for the value iteration")
@@ -173,34 +219,58 @@ def solve_gare(
     const[:N] = q
     const[inner] = costs.R
 
-    s = q
-    iterations = 0
-    while iterations < opts.max_iter:
-        z = S @ s
-        z += const
-        for base, kk, ik, jk in pivots:
-            # a non-finite pivot is left to the non_finite status
-            piv = z.item(kk)
-            if piv <= 0.0 and math.isfinite(piv):
+    # row i holds Z of iterate i of the block; its first N entries are
+    # svec of the iterate once the pivots are done, and row 0 is the last
+    # iterate of the previous block
+    buf = np.empty((_LAST_BLOCK + 1, len(S)))
+    X = buf[:, :N]
+    X[0] = q
+    iterations, size = 0, _FIRST_BLOCK
+    # iterates past a stop are discarded; they may overflow harmlessly
+    with np.errstate(all="ignore"):
+        while iterations < opts.max_iter:
+            size = min(size, opts.max_iter - iterations)
+            done = size  # iterates of the block with every pivot positive
+            for i in range(1, size + 1):
+                z = buf[i]
+                np.matmul(S, X[i - 1], out=z)
+                z += const
+                for base, kk, ik, jk in pivots:
+                    # a non-finite pivot is left to the non_finite status
+                    piv = z.item(kk)
+                    if piv <= 0.0 and math.isfinite(piv):
+                        done = i - 1
+                        break
+                    z[:base] -= z.take(ik) * z.take(jk) / piv
+                if done < size:
+                    break
+            new = X[1:done + 1]
+            step = new - X[:done]
+            diff = np.sqrt((step * step) @ w)
+            pnorm = np.sqrt((new * new) @ w)
+            # blowup is finite, so a NaN or infinite norm fails this too
+            blown = ~(pnorm <= opts.blowup)
+            stop = blown | (diff <= opts.tol_abs + opts.tol_rel * pnorm)
+            if stop.any():
+                i = int(stop.argmax())
+                iterations += i + 1
+                if blown[i]:
+                    status = ("blowup" if math.isfinite(pnorm[i])
+                              else "non_finite")
+                    return GareSolution(P=None, K=None,
+                                        iterations=iterations, status=status)
+                s = X[i + 1]
+                z = S @ s + const
+                K = -la.solve(z[inner], z[cross])
+                return GareSolution(P=_unsvec(s, n), K=K,
+                                    iterations=iterations, status="converged")
+            if done < size:
                 raise NumericalError(
                     "inner input-weight matrix is not positive definite"
                 )
-            z[:base] -= z.take(ik) * z.take(jk) / piv
-        s_next = z[:N]
-        step = s_next - s
-        diff = math.sqrt(step @ (w * step))
-        pnorm = math.sqrt(s_next @ (w * s_next))
-        s = s_next
-        iterations += 1
-        if not math.isfinite(pnorm) or pnorm > opts.blowup:
-            status = "blowup" if math.isfinite(pnorm) else "non_finite"
-            return GareSolution(P=None, K=None, iterations=iterations,
-                                status=status)
-        if diff <= opts.tol_abs + opts.tol_rel * pnorm:
-            z = S @ s + const
-            K = -la.solve(z[inner], z[cross])
-            return GareSolution(P=_unsvec(s, n), K=K, iterations=iterations,
-                                status="converged")
+            iterations += size
+            X[0] = X[size]
+            size = min(2 * size, _LAST_BLOCK)
     return GareSolution(P=None, K=None, iterations=iterations,
                         status="iteration_cap")
 

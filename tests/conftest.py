@@ -7,6 +7,9 @@ import pytest
 from multinoise import (
     BisectOptions,
     DesignOptions,
+    GareOptions,
+    GareSolution,
+    NumericalError,
     certainty_equivalent,
     design_algorithm_1,
     design_algorithm_2,
@@ -16,8 +19,10 @@ from multinoise import (
     spectral_radius,
     symmetrize,
 )
+from multinoise.gare import _lifted_step_operators, _schur_layout
 from multinoise.margins import bisect_max_feasible
 from multinoise.matops import abs_part, pos_part
+from multinoise.stability import _svec_maps, _unsvec
 from multinoise.verify import _grid_axes, _psd_sqrt
 
 
@@ -73,6 +78,57 @@ def direct_value_step(P_t, sys, noise, costs):
         G = G + b * (D.T @ P @ D)
     BtPA = B.T @ P @ A
     return symmetrize(S - BtPA.T @ la.solve(G, BtPA))
+
+
+def stepwise_solve_gare(sys, noise, costs, opts=None):
+    """``solve_gare`` with the stopping rule and the blowup test evaluated
+    after every step, on the same lifted operator and pivots.
+
+    An oracle for ``solve_gare``, which evaluates both tests once per block
+    of iterates and must stop at the same iterate with the same result.
+    """
+    if opts is None:
+        opts = GareOptions()
+    n, m = sys.n, sys.m
+    R, C, eye = _svec_maps(n)
+    N = eye.size
+    pivots, inner, cross = _schur_layout(n, m)
+    w = 2.0 - eye
+    S = _lifted_step_operators(sys, noise)
+    q = costs.Q[R, C]
+    const = np.zeros(len(S))
+    const[:N] = q
+    const[inner] = costs.R
+
+    s = q
+    iterations = 0
+    while iterations < opts.max_iter:
+        z = S @ s
+        z += const
+        for base, kk, ik, jk in pivots:
+            piv = z.item(kk)
+            if piv <= 0.0 and math.isfinite(piv):
+                raise NumericalError(
+                    "inner input-weight matrix is not positive definite"
+                )
+            z[:base] -= z.take(ik) * z.take(jk) / piv
+        s_next = z[:N]
+        step = s_next - s
+        diff = math.sqrt(step @ (w * step))
+        pnorm = math.sqrt(s_next @ (w * s_next))
+        s = s_next
+        iterations += 1
+        if not math.isfinite(pnorm) or pnorm > opts.blowup:
+            status = "blowup" if math.isfinite(pnorm) else "non_finite"
+            return GareSolution(P=None, K=None, iterations=iterations,
+                                status=status)
+        if diff <= opts.tol_abs + opts.tol_rel * pnorm:
+            z = S @ s + const
+            K = -la.solve(z[inner], z[cross])
+            return GareSolution(P=_unsvec(s, n), K=K, iterations=iterations,
+                                status="converged")
+    return GareSolution(P=None, K=None, iterations=iterations,
+                        status="iteration_cap")
 
 
 def bisect_min_feasible(feasible, abs_tol=1e-9, cap=2.0 ** 60):

@@ -182,6 +182,19 @@ def test_design_rejects_bad_grid_samples_before_any_probe(
     assert not calls
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 0), ("max_iter", -3), ("tol_rel", math.nan),
+])
+def test_design_rejects_bad_riccati_options(pendulum, field, value):
+    # such options ended every probe at iteration_cap, so the stabilizable
+    # pendulum read as unstabilizable even at zero noise
+    a_mats = [D for D, _ in pendulum.noise.a_dirs]
+    gare_opts = dataclasses.replace(pendulum.gare_options, **{field: value})
+    with pytest.raises(ValueError, match=f"GareOptions.{field}"):
+        design_algorithm_1(pendulum.system, pendulum.costs, a_mats, [],
+                           pendulum.structure, DesignOptions(gare=gare_opts))
+
+
 def test_controllability_rank_invariant_under_scaling():
     rng = np.random.default_rng(41)
     for _ in range(10):

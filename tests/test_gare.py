@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -17,12 +20,13 @@ from multinoise import (
 from multinoise import gare
 from multinoise.gare import feasible_gare_solution
 
-from conftest import direct_value_step, random_mss_instance
+from conftest import (direct_value_step, random_mss_instance,
+                      stepwise_solve_gare)
 
 TIGHT = GareOptions(tol_abs=1e-14, tol_rel=1e-14)
-#: an infinite tolerance accepts the first iterate P_1 as converged, so
-#: solve_gare returns one lifted step from P_0 = Q
-ONE_STEP = GareOptions(tol_abs=np.inf, max_iter=1)
+#: the largest finite tolerance accepts any finite first iterate P_1 as
+#: converged, so solve_gare returns one lifted step from P_0 = Q
+ONE_STEP = GareOptions(tol_abs=np.finfo(float).max, max_iter=1)
 
 
 def scalar_problem(a=1.0, b=1.0, q=1.0, r=1.0):
@@ -224,6 +228,89 @@ def test_converged_solve_takes_no_linear_solve_per_iteration(monkeypatch):
     sol = solve_gare(sys, noise, CostPair(Q=np.eye(2), R=np.eye(2)), TIGHT)
     assert sol.converged and sol.iterations >= 100
     assert len(calls) <= 1
+
+
+def assert_matches_stepwise(sys, noise, costs, opts):
+    """solve_gare's result equals the per-step loop's bit for bit; returns
+    its status."""
+    with np.errstate(all="ignore"):  # the oracle's last iterate may overflow
+        want = stepwise_solve_gare(sys, noise, costs, opts)
+    got = solve_gare(sys, noise, costs, opts)
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for a, b in ((got.P, want.P), (got.K, want.K)):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    return got.status
+
+
+def seeded_plant(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+    sys = NominalSystem(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
+    alpha = float(10 ** rng.uniform(-2, 1))
+    noise = NoiseModel(a_dirs=[(rng.normal(size=(n, n)) / n, alpha)],
+                       b_dirs=[(rng.normal(size=(n, m)), 0.1)])
+    return sys, noise, CostPair(Q=np.eye(n), R=np.eye(m))
+
+
+def test_block_stopping_rule_matches_the_per_step_loop():
+    # the plants stop at iterates all through the blocks, by every status:
+    # the default blowup stops diverging plants, while a blowup of 1e300 lets
+    # them run until the norm's square overflows
+    statuses = set()
+    for seed in range(40):
+        plant = seeded_plant(seed)
+        for blowup in (1e12, 1e300):
+            opts = GareOptions(blowup=blowup, max_iter=1000)
+            statuses.add(assert_matches_stepwise(*plant, opts))
+    assert statuses == {"converged", "iteration_cap", "blowup", "non_finite"}
+
+
+@pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 23, 24, 25, 55, 56, 57,
+                                      119, 120, 121])
+@pytest.mark.parametrize("seed, status, stop", [(38, "converged", 94),
+                                               (35, "blowup", 58)])
+def test_iteration_cap_at_block_edges_matches_the_per_step_loop(
+        max_iter, seed, status, stop):
+    # blocks of 8, 16, 32 and 64 iterates end at iterations 8, 24, 56 and
+    # 120; at the defaults each plant stops by its status at ``stop``
+    got = assert_matches_stepwise(*seeded_plant(seed),
+                                  GareOptions(max_iter=max_iter))
+    assert got == (status if max_iter >= stop else "iteration_cap")
+
+
+def test_a_stop_earlier_in_a_block_beats_a_bad_pivot_later(monkeypatch):
+    # with this operator (n = m = 1, P_0 = Q = 1) iterate 1 is 1e13 + 1,
+    # past blowup, and iterate 2's pivot is 1 - 0.5 * (1e13 + 1) < 0; the
+    # per-step loop returns before computing iterate 2
+    monkeypatch.setattr(gare, "_lifted_step_operators",
+                        lambda sys, noise: np.array([[1e13], [0.0], [-0.5]]))
+    sys, costs = scalar_problem()
+    sol = solve_gare(sys, NoiseModel(), costs)
+    assert sol.status == "blowup" and sol.iterations == 1
+
+
+def test_discarded_iterates_raise_no_warning():
+    # iterate 1 is 1e80, past blowup; the iterates after it in the block
+    # overflow, and nothing may warn about them
+    sys, costs = scalar_problem(a=1e40, b=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_gare(sys, NoiseModel(), costs)
+    assert sol.status == "blowup" and sol.iterations == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("max_iter", True),
+    ("tol_abs", -1e-10), ("tol_abs", math.inf), ("tol_rel", math.nan),
+    ("blowup", 0.0), ("blowup", math.inf), ("blowup", math.nan),
+])
+def test_bad_options_are_rejected(field, value):
+    # a cap below one iteration or a NaN tolerance used to end every solve
+    # at iteration_cap, which the designs read as infeasible
+    sys, costs = scalar_problem()
+    opts = GareOptions(**{field: value})
+    with pytest.raises(ValueError, match=f"GareOptions.{field}"):
+        solve_gare(sys, NoiseModel(), costs, opts)
 
 
 def test_huge_variance_unstabilizable(pendulum):
