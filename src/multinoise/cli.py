@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,6 @@ from .matops import spectral_radius
 from .model import PerturbationBox, closed_loop_substitution
 from .problems import (
     Problem,
-    _checked_option,
     certificate_from_dict,
     certificate_to_dict,
     design_result_from_dict,
@@ -97,25 +97,19 @@ def _emit(data: dict, fmt: str) -> None:
 
 
 def _apply_overrides(problem: Problem, args) -> None:
-    # a subcommand parses only the solver flags it reads; each flag obeys
-    # the rule of the option it overrides
-    g, b = problem.gare_options, problem.bisect_options
-    if getattr(args, "tol", None) is not None:
-        g.tol_rel = _checked_option(args.tol, "tolerance", "option '--tol'")
-    if getattr(args, "max_iter", None) is not None:
-        g.max_iter = _checked_option(args.max_iter, "count",
-                                     "option '--max-iter'")
-    if getattr(args, "blowup", None) is not None:
-        g.blowup = _checked_option(args.blowup, "threshold",
-                                   "option '--blowup'")
-    if getattr(args, "bisect_tol", None) is not None:
-        b.rel_tol = _checked_option(args.bisect_tol, "tolerance",
-                                    "option '--bisect-tol'")
-        if b.rel_tol == 0.0 and b.abs_tol == 0.0:
-            raise ProblemFormatError(
-                "option '--bisect-tol': must be > 0 when the problem's "
-                "bisect_abs_tol is 0"
-            )
+    # a subcommand parses only the solver flags it reads; the options
+    # classes check each value
+    for flag, group, name in (("--tol", "gare_options", "tol_rel"),
+                              ("--max-iter", "gare_options", "max_iter"),
+                              ("--blowup", "gare_options", "blowup"),
+                              ("--bisect-tol", "bisect_options", "rel_tol")):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            try:
+                setattr(problem, group,
+                        replace(getattr(problem, group), **{name: value}))
+            except ValueError as exc:
+                raise ProblemFormatError(f"option '{flag}': {exc}") from exc
 
 
 def _design_opts(problem: Problem, grid_samples: int = 10_000) -> DesignOptions:

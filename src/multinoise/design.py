@@ -43,6 +43,7 @@ from .model import (
     PerturbationBox,
     TrueSystem,
     UncertaintyStructure,
+    _check_options,
     closed_loop_substitution,
 )
 from .verify import grid_verify
@@ -61,14 +62,17 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignOptions:
     """Solver and bisection settings for the design pipelines."""
 
     gare: GareOptions = field(default_factory=GareOptions)
     bisect: BisectOptions = field(default_factory=BisectOptions)
-    #: samples per direction for the worst-case grid diagnostic
+    #: samples per direction for the worst-case grid diagnostic, >= 2
     grid_samples_per_dir: int = 100
+
+    def __post_init__(self):
+        _check_options(self, {"grid_samples_per_dir": 2})
 
 
 @dataclass
@@ -137,8 +141,7 @@ def certainty_equivalent(
     true_system: TrueSystem | None = None,
 ) -> DesignResult:
     """Baseline design on the nominal model, ignoring all uncertainty."""
-    if opts is None:
-        opts = DesignOptions()
+    opts = opts or DesignOptions()
     noise = NoiseModel()
     sol = feasible_gare_solution(sys, noise, costs, opts.gare)
     if sol is None:
@@ -151,16 +154,6 @@ def certainty_equivalent(
         z_star=None,
         diagnostics=_diagnostics(A_cl, dirs, sol.K, None, opts, true_system),
     )
-
-
-def _checked_options(opts: DesignOptions | None) -> DesignOptions:
-    """The options, or the defaults, checked before the first probe so that
-    a bad grid size is not found only after the whole bisection."""
-    if opts is None:
-        return DesignOptions()
-    if opts.grid_samples_per_dir < 2:
-        raise ValueError("grid_samples_per_dir must be >= 2")
-    return opts
 
 
 def _checked_structure(
@@ -200,7 +193,7 @@ def design_algorithm_1(
     shared-quadratic-form inequality with constant term Q + K^T R K,
     evaluated on the closed loop with the input directions folded in.
     """
-    opts = _checked_options(opts)
+    opts = opts or DesignOptions()
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
 
     last: GareSolution | None = None  # solution at the last feasible z
@@ -254,7 +247,7 @@ def design_algorithm_2(
     auxiliary problem certifies the two-sided box, and the returned gain is
     the optimal gain of the auxiliary problem at the largest feasible y.
     """
-    opts = _checked_options(opts)
+    opts = opts or DesignOptions()
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
     w, p = structure.weights, structure.p
 

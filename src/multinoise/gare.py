@@ -26,7 +26,6 @@ implemented; value iteration is the sole solver.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -36,7 +35,7 @@ import numpy.linalg as la
 from .errors import NumericalError
 from .matops import symmetrize
 from .model import (CostPair, NoiseModel, NominalSystem, _check_dir_shapes,
-                    closed_loop_substitution)
+                    _check_options, closed_loop_substitution)
 from .stability import (
     _mss_holds, _svec_lift, _svec_map_lift, _svec_maps, _unsvec,
 )
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GareOptions:
     """Stopping policy for the value iteration.
 
@@ -64,14 +63,18 @@ class GareOptions:
     meets either, so the result equals the per-step rule's: the same
     stopping iterate, with at most 63 iterates discarded per solve.
     ``tol_abs`` and ``tol_rel`` must be finite and >= 0, ``blowup`` finite
-    and > 0, and ``max_iter`` an integer >= 1; :func:`solve_gare` raises
-    ``ValueError`` naming the field otherwise.
+    and > 0, and ``max_iter`` an integer >= 1, or building the options
+    raises ``ValueError`` naming the field.
     """
 
     tol_abs: float = 1e-10
     tol_rel: float = 1e-9
     blowup: float = 1e12
     max_iter: int = 100_000
+
+    def __post_init__(self):
+        _check_options(self, {"tol_abs": ">= 0", "tol_rel": ">= 0",
+                              "blowup": "> 0", "max_iter": 1})
 
 
 @dataclass
@@ -102,31 +105,6 @@ class GareSolution:
 #: solves that stop within a few dozen iterations feel most
 _FIRST_BLOCK = 8
 _LAST_BLOCK = 64
-
-
-def _checked_options(opts: GareOptions | None) -> GareOptions:
-    """The options, or the defaults, under the rules of the problem
-    files' options. A NaN or negative tolerance, a non-positive blowup or a
-    cap below one iteration lets no solve converge, so a design would read
-    a stabilizable plant as unstabilizable; an infinite tolerance accepts
-    the first iterate as the fixed point."""
-    if opts is None:
-        return GareOptions()
-    for name, rule in (("tol_abs", ">= 0"), ("tol_rel", ">= 0"),
-                       ("blowup", "> 0")):
-        x = getattr(opts, name)
-        if (isinstance(x, bool) or not isinstance(x, numbers.Real)
-                or not 0.0 <= x < math.inf or (rule == "> 0" and x == 0.0)):
-            raise ValueError(
-                f"GareOptions.{name} must be finite and {rule}, got {x!r}"
-            )
-    cap = opts.max_iter
-    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) \
-            or cap < 1:
-        raise ValueError(
-            f"GareOptions.max_iter must be an integer >= 1, got {cap!r}"
-        )
-    return opts
 
 
 @cache
@@ -202,7 +180,7 @@ def solve_gare(
     is returned; whether its closed loop is mean-square stable is checked
     separately by :func:`feasible_gare_solution`.
     """
-    opts = _checked_options(opts)
+    opts = opts or GareOptions()
     _check_dir_shapes(sys, noise)
     if la.eigvalsh(symmetrize(costs.Q))[0] <= 0:
         raise ValueError("Q must be positive definite for the value iteration")

@@ -27,7 +27,8 @@ import numpy.linalg as la
 
 from .errors import DimensionError, NotMeanSquareStableError
 from .matops import abs_part, gen_eig_max, is_psd, pos_part, symmetrize
-from .model import DirList, PerturbationBox, UncertaintyStructure
+from .model import (DirList, PerturbationBox, UncertaintyStructure,
+                    _check_options)
 from .stability import _mss_holds, _svec_lift, solve_gle
 
 __all__ = [
@@ -59,7 +60,7 @@ class MarginMethod(str, Enum):
     CONS_SIMPLE = "cons-simple"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BisectOptions:
     """Bracket policy for feasibility bisections.
 
@@ -68,12 +69,21 @@ class BisectOptions:
     as a distinct ``cap_hit`` diagnostic (the margin is unbounded or
     degenerate) rather than silently returned as a maximum. Only the
     designs bisect: the margin methods solve for their edge and read only
-    ``bracket_cap``.
+    ``bracket_cap``. ``rel_tol`` and ``abs_tol`` must be finite, >= 0 and
+    not both 0, and ``bracket_cap`` finite and > 0, or building the options
+    raises ``ValueError`` naming the field.
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
     bracket_cap: float = 2.0 ** 60
+
+    def __post_init__(self):
+        _check_options(self, {"rel_tol": ">= 0", "abs_tol": ">= 0",
+                              "bracket_cap": "> 0"})
+        if self.rel_tol == 0.0 and self.abs_tol == 0.0:
+            raise ValueError("BisectOptions.rel_tol and BisectOptions.abs_tol"
+                             " must not both be 0")
 
 
 @dataclass

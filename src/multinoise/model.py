@@ -12,6 +12,8 @@ vectors and uncertainty weights all index in that order.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,6 +234,26 @@ class CostPair:
             raise ValueError("Q must be positive semidefinite")
         if not np.linalg.eigvalsh(self.R)[0] > 0.0:
             raise ValueError("R must be positive definite")
+
+
+def _check_options(opts, rules: dict) -> None:
+    """Raise ``ValueError`` naming ``<Class>.<field>`` at the first field of
+    the options ``opts`` that breaks its rule: ``">= 0"`` or ``"> 0"`` for a
+    finite real number, an int k for an integer >= k; a bool is neither. A
+    NaN or negative tolerance or a cap below one iteration lets no solve or
+    bisection end as asked, and an infinite tolerance accepts any iterate."""
+    for name, rule in rules.items():
+        x = getattr(opts, name)
+        if isinstance(rule, int):
+            need = f"an integer >= {rule}"
+            ok = isinstance(x, numbers.Integral) and x >= rule
+        else:
+            need = f"finite and {rule}"
+            ok = isinstance(x, numbers.Real) and (
+                0 < x < math.inf if rule == "> 0" else 0 <= x < math.inf)
+        if isinstance(x, bool) or not ok:
+            raise ValueError(
+                f"{type(opts).__name__}.{name} must be {need}, got {x!r}")
 
 
 def _check_dir_shapes(sys: NominalSystem, noise: NoiseModel) -> None:

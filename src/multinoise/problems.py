@@ -13,8 +13,8 @@ field.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,42 +134,28 @@ def _dir_list(data: dict, name: str, var_name: str, shape: tuple) -> list:
     return [(M, float(v)) for M, v in zip(out, variances)]
 
 
-#: rule and default of each solver option of the "options" block
-_OPTION_RULES = {
-    "tol_abs": ("tolerance", GareOptions.tol_abs),
-    "tol_rel": ("tolerance", GareOptions.tol_rel),
-    "blowup": ("threshold", GareOptions.blowup),
-    "max_iter": ("count", GareOptions.max_iter),
-    "bisect_rel_tol": ("tolerance", BisectOptions.rel_tol),
-    "bisect_abs_tol": ("tolerance", BisectOptions.abs_tol),
-    "bracket_cap": ("threshold", BisectOptions.bracket_cap),
+#: each key of the "options" block, with the options attribute of
+#: :class:`Problem` and the field it sets, in the order they are set; the
+#: two bisection tolerances being both 0 is thus named at bisect_rel_tol
+_OPTION_FIELDS = {
+    "tol_abs": ("gare_options", "tol_abs"),
+    "tol_rel": ("gare_options", "tol_rel"),
+    "blowup": ("gare_options", "blowup"),
+    "max_iter": ("gare_options", "max_iter"),
+    "bisect_abs_tol": ("bisect_options", "abs_tol"),
+    "bisect_rel_tol": ("bisect_options", "rel_tol"),
+    "bracket_cap": ("bisect_options", "bracket_cap"),
 }
 
 
-def _checked_option(value, rule: str, name: str) -> float | int:
-    """A solver option's value under its rule, or a ProblemFormatError
-    naming ``name``: a ``tolerance`` is finite and >= 0, a ``threshold``
-    is finite and > 0, a ``count`` is an integer >= 1. A NaN tolerance
-    never stops the value iteration, which then reads as divergence, and a
-    negative bisection tolerance asks for a bracket no float pair meets."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError(f"expected a number, got {value}")
-        x = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProblemFormatError(f"{name}: {exc}") from exc
-    if rule == "count":
-        if not (x.is_integer() and x >= 1.0):
-            raise ProblemFormatError(
-                f"{name}: must be an integer >= 1, got {value}"
-            )
+def _option_value(value, key: str) -> float | int:
+    """An option's JSON number as the value of its field: a float, or an
+    int for an integral max_iter; a bool is left to its class to reject."""
+    if isinstance(value, bool):
+        return value
+    x = float(value)
+    if key == "max_iter" and x.is_integer():
         return value if isinstance(value, int) else int(x)
-    if not math.isfinite(x):
-        raise ProblemFormatError(f"{name}: must be finite, got {value}")
-    if rule == "tolerance" and x < 0.0:
-        raise ProblemFormatError(f"{name}: must be >= 0, got {value}")
-    if rule == "threshold" and x <= 0.0:
-        raise ProblemFormatError(f"{name}: must be > 0, got {value}")
     return x
 
 
@@ -237,29 +223,17 @@ def parse_problem(data: dict) -> Problem:
     if not isinstance(opts, dict):
         raise ProblemFormatError("field 'options': expected an object")
     for key in opts:
-        if key not in _OPTION_RULES:
+        if key not in _OPTION_FIELDS:
             raise ProblemFormatError(f"field 'options.{key}': unknown option")
-    value = {
-        key: _checked_option(opts.get(key, default), rule,
-                             f"field 'options.{key}'")
-        for key, (rule, default) in _OPTION_RULES.items()
-    }
-    if value["bisect_rel_tol"] == 0.0 and value["bisect_abs_tol"] == 0.0:
-        raise ProblemFormatError(
-            "field 'options.bisect_rel_tol'/'options.bisect_abs_tol': the "
-            "two bisection tolerances must not both be 0"
-        )
-    gare_options = GareOptions(
-        tol_abs=value["tol_abs"],
-        tol_rel=value["tol_rel"],
-        blowup=value["blowup"],
-        max_iter=value["max_iter"],
-    )
-    bisect_options = BisectOptions(
-        rel_tol=value["bisect_rel_tol"],
-        abs_tol=value["bisect_abs_tol"],
-        bracket_cap=value["bracket_cap"],
-    )
+    options = {"gare_options": GareOptions(), "bisect_options": BisectOptions()}
+    for key, (group, name) in _OPTION_FIELDS.items():
+        if key in opts:
+            try:
+                options[group] = replace(options[group], **{
+                    name: _option_value(opts[key], key)})
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ProblemFormatError(
+                    f"field 'options.{key}': {exc}") from exc
 
     return Problem(
         system=system,
@@ -267,8 +241,7 @@ def parse_problem(data: dict) -> Problem:
         true_system=true_system,
         structure=structure,
         costs=costs,
-        gare_options=gare_options,
-        bisect_options=bisect_options,
+        **options,
     )
 
 
@@ -306,12 +279,8 @@ def problem_to_dict(problem: Problem) -> dict:
     if problem.costs is not None:
         data["Q"] = problem.costs.Q.tolist()
         data["R"] = problem.costs.R.tolist()
-    g, b = problem.gare_options, problem.bisect_options
-    data["options"] = {
-        "tol_abs": g.tol_abs, "tol_rel": g.tol_rel, "blowup": g.blowup,
-        "max_iter": g.max_iter, "bisect_rel_tol": b.rel_tol,
-        "bisect_abs_tol": b.abs_tol, "bracket_cap": b.bracket_cap,
-    }
+    data["options"] = {key: getattr(getattr(problem, group), name)
+                       for key, (group, name) in _OPTION_FIELDS.items()}
     return data
 
 
@@ -352,6 +321,27 @@ def _opt_numeric(data: dict, name: str) -> np.ndarray | None:
     return None if v is None else _numeric(v, name)
 
 
+def _json_bool(data: dict, name: str, default: bool | None = None) -> bool:
+    """A JSON true or false, or ``default`` if given and the field is absent;
+    ``bool("false")`` would be True."""
+    value = data[name] if default is None else data.get(name, default)
+    if not isinstance(value, bool):
+        raise ProblemFormatError(
+            f"field '{name}': expected true or false, got {value!r}")
+    return value
+
+
+def _json_finite(data: dict, name: str) -> float:
+    """A finite JSON number; ``float("nan")`` would be NaN."""
+    value = data[name]
+    # false for NaN, for infinities and for ints past the float range
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ProblemFormatError(
+        f"field '{name}': expected a finite number, got {value!r}")
+
+
 def certificate_to_dict(cert: MarginCertificate) -> dict:
     return {
         "method": cert.method.value,
@@ -371,16 +361,16 @@ def certificate_from_dict(data: dict) -> MarginCertificate:
         box = PerturbationBox(
             eta=np.asarray(data["eta"], dtype=float),
             psi=np.asarray(data["psi"], dtype=float),
-            bidirectional=bool(data["bidirectional"]),
+            bidirectional=_json_bool(data, "bidirectional"),
         )
         return MarginCertificate(
             box=box,
             method=MarginMethod(data["method"]),
-            y_star=float(data["y_star"]),
+            y_star=_json_finite(data, "y_star"),
             P=_opt_numeric(data, "P"),
             q_matrix=_opt_numeric(data, "q_matrix"),
             zeta=_opt_numeric(data, "zeta"),
-            cap_hit=bool(data.get("cap_hit", False)),
+            cap_hit=_json_bool(data, "cap_hit", False),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"certificate document: {exc}") from exc
@@ -410,9 +400,9 @@ def design_result_from_dict(data: dict) -> DesignResult:
             K=_numeric(data["K"], "K"),
             certificate=None if data.get("certificate") is None
             else certificate_from_dict(data["certificate"]),
-            y_star=float(data["y_star"]),
+            y_star=_json_finite(data, "y_star"),
             z_star=None if data.get("z_star") is None
-            else float(data["z_star"]),
+            else _json_finite(data, "z_star"),
             diagnostics=DesignDiagnostics(
                 rho_closed_loop=float(diag["rho_closed_loop"]),
                 worst_box_rho=None if diag.get("worst_box_rho") is None
@@ -421,7 +411,7 @@ def design_result_from_dict(data: dict) -> DesignResult:
                 if diag.get("rho_true_closed_loop") is None
                 else float(diag["rho_true_closed_loop"]),
             ),
-            cap_hit=bool(data.get("cap_hit", False)),
+            cap_hit=_json_bool(data, "cap_hit", False),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"design document: {exc}") from exc

@@ -193,6 +193,29 @@ def test_verify_grid_unsound_certificate_exit_one(tmp_path, capsys):
     assert report["all_stable"] is False
 
 
+@pytest.mark.parametrize("bidirectional, code, worst_rho", [
+    (False, 0, 0.5),
+    # read as true, the string swept (-0.7, 0.7) and found rho 1.2
+    ("false", 2, None),
+])
+def test_verify_grid_reads_only_json_flags(tmp_path, capsys, bidirectional,
+                                           code, worst_rho):
+    path = write_problem(tmp_path, {"A": [[-0.5]], "B": [[1.0]],
+                                    "A_dirs": [[[1.0]]]})
+    cert = {"method": "shared-uni", "y_star": 0.7, "eta": [0.7], "psi": [],
+            "bidirectional": bidirectional}
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    argv = ["verify-grid", path, "--cert", str(cert_path), "--samples", "50"]
+    if code:
+        assert main(argv) == code
+        assert "field 'bidirectional'" in capsys.readouterr().err
+    else:
+        got, report = run_json(capsys, argv)
+        assert got == code
+        assert report["worst_rho"] == pytest.approx(worst_rho)
+
+
 def test_design_algo2_emits_bidirectional_box(tmp_path, capsys):
     path = write_problem(tmp_path, pendulum_doc())
     code, out = run_json(capsys, ["design", path, "--algo", "2"])

@@ -6,6 +6,7 @@ import numpy.linalg as la
 import pytest
 
 from multinoise import (
+    BisectOptions,
     CostPair,
     DesignOptions,
     MarginMethod,
@@ -175,10 +176,9 @@ def test_design_rejects_bad_grid_samples_before_any_probe(
     monkeypatch.setattr(gare, "solve_gare",
                         lambda *args: calls.append(1) or solve(*args))
     a_mats = [D for D, _ in pendulum.noise.a_dirs]
-    opts = DesignOptions(grid_samples_per_dir=1)
     with pytest.raises(ValueError, match="grid_samples_per_dir"):
         design(pendulum.system, pendulum.costs, a_mats, [],
-               pendulum.structure, opts)
+               pendulum.structure, DesignOptions(grid_samples_per_dir=1))
     assert not calls
 
 
@@ -189,10 +189,23 @@ def test_design_rejects_bad_riccati_options(pendulum, field, value):
     # such options ended every probe at iteration_cap, so the stabilizable
     # pendulum read as unstabilizable even at zero noise
     a_mats = [D for D, _ in pendulum.noise.a_dirs]
-    gare_opts = dataclasses.replace(pendulum.gare_options, **{field: value})
     with pytest.raises(ValueError, match=f"GareOptions.{field}"):
+        gare_opts = dataclasses.replace(pendulum.gare_options,
+                                        **{field: value})
         design_algorithm_1(pendulum.system, pendulum.costs, a_mats, [],
                            pendulum.structure, DesignOptions(gare=gare_opts))
+
+
+def test_design_rejects_nan_bisection_tolerance(pendulum):
+    # a NaN rel_tol ended the z bisection at the bracket end 64, which
+    # design 1 reported as z* = 64 with y* = 5.507 and no cap_hit, where
+    # the pendulum's frontier is z* = 98.14 with y* = 6.997
+    a_mats = [D for D, _ in pendulum.noise.a_dirs]
+    with pytest.raises(ValueError, match=r"BisectOptions\.rel_tol"):
+        opts = DesignOptions(gare=pendulum.gare_options,
+                             bisect=BisectOptions(rel_tol=math.nan))
+        design_algorithm_1(pendulum.system, pendulum.costs, a_mats, [],
+                           pendulum.structure, opts)
 
 
 def test_controllability_rank_invariant_under_scaling():

@@ -308,9 +308,8 @@ def test_bad_options_are_rejected(field, value):
     # a cap below one iteration or a NaN tolerance used to end every solve
     # at iteration_cap, which the designs read as infeasible
     sys, costs = scalar_problem()
-    opts = GareOptions(**{field: value})
     with pytest.raises(ValueError, match=f"GareOptions.{field}"):
-        solve_gare(sys, NoiseModel(), costs, opts)
+        solve_gare(sys, NoiseModel(), costs, GareOptions(**{field: value}))
 
 
 def test_huge_variance_unstabilizable(pendulum):

@@ -523,9 +523,10 @@ def test_bidirectional_never_exceeds_unidirectional():
 
 
 def test_bisect_max_feasible_ends_at_float_resolution():
-    # with both tolerances 0 the bracket closes only when no float is left
-    # between its ends; the probe budget turns a loop that never ends into
-    # a failure
+    # with rel_tol 0 and abs_tol the least subnormal, far below the 5.6e-17
+    # gap between neighbouring floats near 0.3, the bracket closes only when
+    # no float is left between its ends; the probe budget turns a loop that
+    # never ends into a failure
     probes = []
 
     def feasible(y):
@@ -533,7 +534,7 @@ def test_bisect_max_feasible_ends_at_float_resolution():
         assert len(probes) < 10_000, "bisection did not end"
         return y <= 0.3
 
-    y, cap_hit = bisect_max_feasible(feasible, BisectOptions(0.0, 0.0))
+    y, cap_hit = bisect_max_feasible(feasible, BisectOptions(0.0, 5e-324))
     assert not cap_hit
     assert y == 0.3 or np.nextafter(y, 1.0) == 0.3
 

@@ -1,9 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from multinoise import (
+    BisectOptions,
     CostPair,
+    DesignOptions,
     DimensionError,
+    GareOptions,
     NoiseModel,
     NominalSystem,
     PerturbationBox,
@@ -141,3 +147,57 @@ def test_perturbed_matrix_affine_in_mu():
     lhs = perturbed_matrix(A, dirs, a * mu) - A
     rhs = a * (perturbed_matrix(A, dirs, mu) - A)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+# the bad values of each rule: a tolerance is finite and >= 0, a threshold
+# finite and > 0, a count an integer >= its least value; a bool is none
+_NOT_FINITE = [True, math.nan, math.inf, -math.inf]
+_BAD_TOLERANCE = _NOT_FINITE + [-1e-10, "1e-6"]
+_BAD_THRESHOLD = _NOT_FINITE + [-1.0, 0.0]
+_OPTION_FIELDS = [
+    (GareOptions, "tol_abs", _BAD_TOLERANCE),
+    (GareOptions, "tol_rel", _BAD_TOLERANCE),
+    (GareOptions, "blowup", _BAD_THRESHOLD),
+    (GareOptions, "max_iter", _NOT_FINITE + [-3, 0, 2.5, 50.0]),
+    (BisectOptions, "rel_tol", _BAD_TOLERANCE),
+    (BisectOptions, "abs_tol", _BAD_TOLERANCE),
+    (BisectOptions, "bracket_cap", _BAD_THRESHOLD),
+    (DesignOptions, "grid_samples_per_dir", _NOT_FINITE + [-3, 0, 1, 2.5]),
+]
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (cls, name, value) for cls, name, bad in _OPTION_FIELDS for value in bad
+])
+def test_options_reject_a_bad_value_when_built(cls, name, value):
+    match = rf"{cls.__name__}\.{name} "
+    with pytest.raises(ValueError, match=match):
+        cls(**{name: value})
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(cls(), **{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (GareOptions, "tol_abs", 0.0), (GareOptions, "max_iter", 1),
+    (GareOptions, "max_iter", np.int64(7)), (BisectOptions, "rel_tol", 0.0),
+    (BisectOptions, "bracket_cap", 1e-300),
+    (DesignOptions, "grid_samples_per_dir", 2),
+])
+def test_options_accept_the_edge_of_each_rule(cls, name, value):
+    assert getattr(cls(**{name: value}), name) == value
+
+
+def test_bisection_tolerances_are_not_both_zero():
+    with pytest.raises(ValueError, match=r"BisectOptions\.rel_tol"):
+        BisectOptions(rel_tol=0.0, abs_tol=0.0)
+    with pytest.raises(ValueError, match=r"BisectOptions\.rel_tol"):
+        dataclasses.replace(BisectOptions(abs_tol=0.0), rel_tol=0.0)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, name) for cls, name, _ in _OPTION_FIELDS
+])
+def test_options_are_frozen(cls, name):
+    opts = cls()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(opts, name, getattr(opts, name))

@@ -192,6 +192,36 @@ def test_certificate_fields_must_be_finite(name, bad):
         design_result_from_dict(design_doc(cert))
 
 
+@pytest.mark.parametrize("name, bad", [
+    # bool("false") is True and float("nan") is NaN: only JSON true or
+    # false is a flag, and only a finite JSON number is a scale
+    ("bidirectional", "false"), ("bidirectional", 0), ("bidirectional", None),
+    ("cap_hit", "false"), ("cap_hit", 1), ("cap_hit", None),
+    ("y_star", "nan"), ("y_star", "1.0"), ("y_star", math.nan),
+    ("y_star", math.inf), ("y_star", True),
+    pytest.param("y_star", 10 ** 400, id="y_star-past-float-range"),
+])
+def test_certificate_flags_and_scale_are_strict(name, bad):
+    cert = certificate_doc()
+    cert[name] = bad
+    with pytest.raises(ProblemFormatError, match=f"field '{name}'"):
+        certificate_from_dict(cert)
+    with pytest.raises(ProblemFormatError, match=f"field '{name}'"):
+        design_result_from_dict(design_doc(cert))
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("cap_hit", "false"), ("cap_hit", 0), ("y_star", "nan"),
+    ("y_star", -math.inf), ("z_star", "nan"), ("z_star", math.inf),
+    ("z_star", False),
+])
+def test_design_flags_and_scales_are_strict(name, bad):
+    doc = design_doc(certificate_doc())
+    doc[name] = bad
+    with pytest.raises(ProblemFormatError, match=f"field '{name}'"):
+        design_result_from_dict(doc)
+
+
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 def test_design_gain_must_be_finite(bad):
     doc = design_doc(certificate_doc())
