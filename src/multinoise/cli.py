@@ -161,7 +161,6 @@ def cmd_solve_gare(args) -> int:
 
 def cmd_margins(args) -> int:
     problem = load_problem(args.problem)
-    _apply_overrides(problem, args)
     if problem.noise.q:
         raise ProblemFormatError(
             "field 'B_dirs': open-loop margins are defined for state-matrix "
@@ -174,11 +173,9 @@ def cmd_margins(args) -> int:
     else:
         structure = problem.require_structure()
     if structure is not None:
-        cert = compute_margins(method, problem.system.A, dirs, structure,
-                               bisect_opts=problem.bisect_options)
+        cert = compute_margins(method, problem.system.A, dirs, structure)
     else:
-        cert = conservative_margins(problem.system.A, dirs, None, method,
-                                    bisect_opts=problem.bisect_options)
+        cert = conservative_margins(problem.system.A, dirs, None, method)
     _emit(certificate_to_dict(cert), args.format)
     return EXIT_OK
 

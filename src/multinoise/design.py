@@ -217,8 +217,7 @@ def design_algorithm_1(
     K = last.K
     A_cl, dirs = closed_loop_substitution(sys, noise_at(z_star), K)
     cert = _shared_certificate(A_cl, dirs, costs.Q + K.T @ costs.R @ K,
-                               last.P, structure, False,
-                               opts.bisect.bracket_cap)
+                               last.P, structure, False)
     return DesignResult(
         K=K,
         certificate=cert,
@@ -273,7 +272,7 @@ def design_algorithm_2(
     # the steady-state solution of the auxiliary closed loop is the
     # quadratic form that certifies every sign corner of the box at once
     A_cl, dirs = closed_loop_substitution(sys, base, K)
-    cert = _aux_certificate(A_cl, dirs, structure, y_star, None, y_cap)
+    cert = _aux_certificate(A_cl, dirs, structure, y_star, y_cap)
     return DesignResult(
         K=K,
         certificate=cert,

@@ -60,23 +60,29 @@ class MarginMethod(str, Enum):
     CONS_SIMPLE = "cons-simple"
 
 
+#: largest margin scale y any margin method reports; a check that still
+#: passes there is reported as ``cap_hit`` (an unbounded or degenerate
+#: margin), not as a maximum
+BRACKET_CAP = 2.0 ** 60
+
+
 @dataclass(frozen=True)
 class BisectOptions:
-    """Bracket policy for feasibility bisections.
+    """Bracket policy for the designs' feasibility bisections over z and y.
 
     The bracket starts at [0, 1] and the upper end doubles, clamped at
     ``bracket_cap``, until it turns infeasible; a feasible cap is reported
     as a distinct ``cap_hit`` diagnostic (the margin is unbounded or
-    degenerate) rather than silently returned as a maximum. Only the
-    designs bisect: the margin methods solve for their edge and read only
-    ``bracket_cap``. ``rel_tol`` and ``abs_tol`` must be finite, >= 0 and
-    not both 0, and ``bracket_cap`` finite and > 0, or building the options
-    raises ``ValueError`` naming the field.
+    degenerate) rather than silently returned as a maximum. The margin
+    methods solve for their edge, read no options and cap it at
+    :data:`BRACKET_CAP`. ``rel_tol`` and ``abs_tol`` must be finite, >= 0
+    and not both 0, and ``bracket_cap`` finite and > 0, or building the
+    options raises ``ValueError`` naming the field.
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
-    bracket_cap: float = 2.0 ** 60
+    bracket_cap: float = BRACKET_CAP
 
     def __post_init__(self):
         _check_options(self, {"rel_tol": ">= 0", "abs_tol": ">= 0",
@@ -156,7 +162,8 @@ def _pencil_root(L, R1, R0) -> float:
     return float(real.max()) if real.size else 0.0
 
 
-def _confirmed_edge(pencil, holds, cap: float) -> tuple[float, bool]:
+def _confirmed_edge(pencil, holds,
+                    cap: float = BRACKET_CAP) -> tuple[float, bool]:
     """Least y > 0 (at most cap) at which L - y R1 - y^2 R0 turns singular,
     for the pencil (L, R1, R0): 1/mu backed off by a relative 1e-9, tenfold
     further while the method's check ``holds(y)`` fails, else 0, which
@@ -302,12 +309,12 @@ def _stable_gle(A_cl, dirs: DirList, Q) -> np.ndarray:
 
 
 def _shared_certificate(A_cl, dirs: DirList, q_term, P, structure,
-                        bidirectional: bool, cap: float) -> MarginCertificate:
+                        bidirectional: bool) -> MarginCertificate:
     """Certificate of the form P: the margins y * weights at the confirmed
     pencil edge of the margin inequality with constant term q_term."""
     w = structure.weights
     y_star, cap_hit = _confirmed_edge(
-        *_margin_probe(A_cl, dirs, q_term, P, w, bidirectional), cap)
+        *_margin_probe(A_cl, dirs, q_term, P, w, bidirectional))
     return MarginCertificate(
         box=_split_box(y_star * w, structure.p, bidirectional),
         method=MarginMethod.SHARED_BI if bidirectional else MarginMethod.SHARED_UNI,
@@ -326,15 +333,15 @@ def _aux_scaling(y: float, w) -> tuple[float, np.ndarray]:
     return math.sqrt(1.0 + s), eta * (1.0 + s)
 
 
-def _aux_certificate(A_cl, dirs: DirList, structure, y: float, q_cert,
+def _aux_certificate(A_cl, dirs: DirList, structure, y: float,
                      cap_hit: bool) -> MarginCertificate:
     """Certificate of the two-sided box y * weights whose P solves the GLE
-    of the auxiliary closed loop at y, with constant term q_cert (default
-    I). The variances stored in ``dirs`` are not read."""
+    of the auxiliary closed loop at y, with constant term I. The variances
+    stored in ``dirs`` are not read."""
     w = structure.weights
     z, var = _aux_scaling(y, w)
     aux = solve_gle(z * A_cl, list(zip(_dir_mats(dirs), var)),
-                    _check_q_eff(q_cert, len(A_cl)))
+                    np.eye(len(A_cl)))
     return MarginCertificate(
         box=_split_box(y * w, structure.p, True),
         method=MarginMethod.AUX_SCALED,
@@ -350,7 +357,6 @@ def shared_lyapunov_margins(
     Q_eff,
     structure: UncertaintyStructure,
     bidirectional: bool = False,
-    bisect_opts: BisectOptions | None = None,
 ) -> MarginCertificate:
     """Maximal proportional margins certified by one quadratic form.
 
@@ -372,7 +378,7 @@ def shared_lyapunov_margins(
     q_term = len(dirs) * Q_eff
     return _shared_certificate(
         A_cl, dirs, q_term, _stable_gle(A_cl, dirs, q_term), structure,
-        bidirectional, (bisect_opts or BisectOptions()).bracket_cap)
+        bidirectional)
 
 
 def _single_dir_condition(zeta, alpha, Q_eff, DPD, cross_plus) -> bool:
@@ -465,7 +471,6 @@ def conservative_margins(
     Q_eff=None,
     kind: MarginMethod = MarginMethod.CONS_LINEARIZED,
     n_state_dirs: int | None = None,
-    bisect_opts: BisectOptions | None = None,
 ) -> MarginCertificate:
     """Margin certificate built from per-direction auxiliary scalars.
 
@@ -512,9 +517,8 @@ def conservative_margins(
         y_star = total
     else:
         w = caps / total
-        cap = min(total, (bisect_opts or BisectOptions()).bracket_cap)
         y_star, _ = _confirmed_edge(*_margin_probe(A_cl, dirs, q_term, P, w),
-                                    cap)
+                                    min(total, BRACKET_CAP))
         bounds = y_star * w
     return MarginCertificate(
         box=_split_box(bounds, n_state_dirs, False),
@@ -530,7 +534,6 @@ def scalar_exact_margins(
     A_cl,
     dirs: DirList,
     structure: UncertaintyStructure,
-    bisect_opts: BisectOptions | None = None,
 ) -> MarginCertificate:
     """Exact two-sided margins for one-dimensional plants.
 
@@ -543,8 +546,6 @@ def scalar_exact_margins(
         raise DimensionError("scalar margins require a 1x1 plant")
     if len(dirs) != structure.p + structure.q:
         raise DimensionError("direction count does not match structure")
-    if bisect_opts is None:
-        bisect_opts = BisectOptions()
     a = float(A_cl[0, 0])
     coeffs = np.array([float(np.asarray(D).reshape(())) for D, _ in dirs])
     variances = np.array([v for _, v in dirs])
@@ -559,7 +560,7 @@ def scalar_exact_margins(
     cap_hit = False
     if denom <= 0.0:
         # perturbations along zero directions never destabilize
-        y_star = bisect_opts.bracket_cap
+        y_star = BRACKET_CAP
         cap_hit = True
     else:
         y_star = margin / denom
@@ -577,8 +578,6 @@ def aux_system_margins(
     A_cl,
     dirs: DirList,
     structure: UncertaintyStructure,
-    q_cert=None,
-    bisect_opts: BisectOptions | None = None,
 ) -> MarginCertificate:
     """Two-sided margins via mean-square stability of a scaled auxiliary
     system.
@@ -611,9 +610,8 @@ def aux_system_margins(
     M0 = _svec_lift(A_cl, [])
     M1 = sum(wk * _svec_lift(D, []) for D, wk in zip(mats, w) if wk)
     y_star, cap_hit = _confirmed_edge(
-        (np.eye(len(M0)) - M0, M0 + M1, M1), holds,
-        (bisect_opts or BisectOptions()).bracket_cap)
-    return _aux_certificate(A_cl, dirs, structure, y_star, q_cert, cap_hit)
+        (np.eye(len(M0)) - M0, M0 + M1, M1), holds)
+    return _aux_certificate(A_cl, dirs, structure, y_star, cap_hit)
 
 
 def compute_margins(
@@ -622,20 +620,21 @@ def compute_margins(
     dirs: DirList,
     structure: UncertaintyStructure,
     Q_eff=None,
-    bisect_opts: BisectOptions | None = None,
 ) -> MarginCertificate:
-    """Dispatch a margin query to the requested method."""
+    """Dispatch a margin query to the requested method.
+
+    Only the shared-form and conservative methods read ``Q_eff`` (default
+    I); the aux method certifies with the constant term I and the scalar
+    method with its closed form. No method reads solver options: every
+    edge is capped at :data:`BRACKET_CAP`.
+    """
     method = MarginMethod(method)
     if method is MarginMethod.SHARED_UNI:
-        return shared_lyapunov_margins(A_cl, dirs, Q_eff, structure, False,
-                                       bisect_opts)
+        return shared_lyapunov_margins(A_cl, dirs, Q_eff, structure, False)
     if method is MarginMethod.SHARED_BI:
-        return shared_lyapunov_margins(A_cl, dirs, Q_eff, structure, True,
-                                       bisect_opts)
+        return shared_lyapunov_margins(A_cl, dirs, Q_eff, structure, True)
     if method is MarginMethod.AUX_SCALED:
-        return aux_system_margins(A_cl, dirs, structure, Q_eff, bisect_opts)
+        return aux_system_margins(A_cl, dirs, structure)
     if method is MarginMethod.SCALAR_EXACT:
-        return scalar_exact_margins(A_cl, dirs, structure, bisect_opts)
-    return conservative_margins(
-        A_cl, dirs, Q_eff, method, structure.p, bisect_opts
-    )
+        return scalar_exact_margins(A_cl, dirs, structure)
+    return conservative_margins(A_cl, dirs, Q_eff, method, structure.p)

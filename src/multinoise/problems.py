@@ -13,7 +13,6 @@ field.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -70,16 +69,34 @@ class Problem:
         return self.structure
 
 
-def _numeric(value, name: str) -> np.ndarray:
-    """Float array of a field's value; NaN and inf are rejected here, so
-    that they never reach a solver as a divergence or a numerical failure."""
+def _numeric(value, name: str, scalar: bool = False,
+             optional: bool = False):
+    """Float array of a field's value, or a float if ``scalar``, or None if
+    ``optional`` and the value is null. Every entry must be a JSON int or
+    float: a string, bool or null entry is rejected leaf by leaf, since
+    ``float("nan")`` and ``float(True)`` would pass, and so are NaN and inf,
+    so that none reaches a solver as a divergence or a numerical failure."""
+    if optional and value is None:
+        return None
+    leaves = [value]
+    while leaves:
+        x = leaves.pop()
+        if isinstance(x, list):
+            leaves.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ProblemFormatError(
+                f"field '{name}': expected a JSON number, got {x!r}")
     try:
         M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # ragged, or past float range
         raise ProblemFormatError(f"field '{name}': not numeric ({exc})") from exc
     if not np.all(np.isfinite(M)):
         raise ProblemFormatError(f"field '{name}': entries must be finite")
-    return M
+    if not scalar:
+        return M
+    if M.ndim:
+        raise ProblemFormatError(f"field '{name}': expected a number")
+    return float(M)
 
 
 def _matrix(data: dict, name: str, required: bool = True) -> np.ndarray | None:
@@ -150,10 +167,8 @@ _OPTION_FIELDS = {
 
 def _option_value(value, key: str) -> float | int:
     """An option's JSON number as the value of its field: a float, or an
-    int for an integral max_iter; a bool is left to its class to reject."""
-    if isinstance(value, bool):
-        return value
-    x = float(value)
+    int for an integral max_iter."""
+    x = _numeric(value, f"options.{key}", scalar=True)
     if key == "max_iter" and x.is_integer():
         return value if isinstance(value, int) else int(x)
     return x
@@ -228,10 +243,10 @@ def parse_problem(data: dict) -> Problem:
     options = {"gare_options": GareOptions(), "bisect_options": BisectOptions()}
     for key, (group, name) in _OPTION_FIELDS.items():
         if key in opts:
+            value = _option_value(opts[key], key)
             try:
-                options[group] = replace(options[group], **{
-                    name: _option_value(opts[key], key)})
-            except (TypeError, ValueError, OverflowError) as exc:
+                options[group] = replace(options[group], **{name: value})
+            except ValueError as exc:
                 raise ProblemFormatError(
                     f"field 'options.{key}': {exc}") from exc
 
@@ -316,11 +331,6 @@ def _opt_matrix_to_list(M: np.ndarray | None):
     return None if M is None else np.asarray(M).tolist()
 
 
-def _opt_numeric(data: dict, name: str) -> np.ndarray | None:
-    v = data.get(name)
-    return None if v is None else _numeric(v, name)
-
-
 def _json_bool(data: dict, name: str, default: bool | None = None) -> bool:
     """A JSON true or false, or ``default`` if given and the field is absent;
     ``bool("false")`` would be True."""
@@ -329,17 +339,6 @@ def _json_bool(data: dict, name: str, default: bool | None = None) -> bool:
         raise ProblemFormatError(
             f"field '{name}': expected true or false, got {value!r}")
     return value
-
-
-def _json_finite(data: dict, name: str) -> float:
-    """A finite JSON number; ``float("nan")`` would be NaN."""
-    value = data[name]
-    # false for NaN, for infinities and for ints past the float range
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
-        return float(value)
-    raise ProblemFormatError(
-        f"field '{name}': expected a finite number, got {value!r}")
 
 
 def certificate_to_dict(cert: MarginCertificate) -> dict:
@@ -359,17 +358,17 @@ def certificate_to_dict(cert: MarginCertificate) -> dict:
 def certificate_from_dict(data: dict) -> MarginCertificate:
     try:
         box = PerturbationBox(
-            eta=np.asarray(data["eta"], dtype=float),
-            psi=np.asarray(data["psi"], dtype=float),
+            eta=_numeric(data["eta"], "eta"),
+            psi=_numeric(data["psi"], "psi"),
             bidirectional=_json_bool(data, "bidirectional"),
         )
         return MarginCertificate(
             box=box,
             method=MarginMethod(data["method"]),
-            y_star=_json_finite(data, "y_star"),
-            P=_opt_numeric(data, "P"),
-            q_matrix=_opt_numeric(data, "q_matrix"),
-            zeta=_opt_numeric(data, "zeta"),
+            y_star=_numeric(data["y_star"], "y_star", scalar=True),
+            P=_numeric(data.get("P"), "P", optional=True),
+            q_matrix=_numeric(data.get("q_matrix"), "q_matrix", optional=True),
+            zeta=_numeric(data.get("zeta"), "zeta", optional=True),
             cap_hit=_json_bool(data, "cap_hit", False),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -396,21 +395,20 @@ def design_result_to_dict(result: DesignResult) -> dict:
 def design_result_from_dict(data: dict) -> DesignResult:
     try:
         diag = data.get("diagnostics", {})
+        if not isinstance(diag, dict):
+            raise ProblemFormatError("field 'diagnostics': expected an object")
+        radii = {key: _numeric(diag.get(key), f"diagnostics.{key}",
+                               scalar=True, optional=key != "rho_closed_loop")
+                 for key in ("rho_closed_loop", "worst_box_rho",
+                             "rho_true_closed_loop")}
         return DesignResult(
             K=_numeric(data["K"], "K"),
             certificate=None if data.get("certificate") is None
             else certificate_from_dict(data["certificate"]),
-            y_star=_json_finite(data, "y_star"),
-            z_star=None if data.get("z_star") is None
-            else _json_finite(data, "z_star"),
-            diagnostics=DesignDiagnostics(
-                rho_closed_loop=float(diag["rho_closed_loop"]),
-                worst_box_rho=None if diag.get("worst_box_rho") is None
-                else float(diag["worst_box_rho"]),
-                rho_true_closed_loop=None
-                if diag.get("rho_true_closed_loop") is None
-                else float(diag["rho_true_closed_loop"]),
-            ),
+            y_star=_numeric(data["y_star"], "y_star", scalar=True),
+            z_star=_numeric(data.get("z_star"), "z_star", scalar=True,
+                            optional=True),
+            diagnostics=DesignDiagnostics(**radii),
             cap_hit=_json_bool(data, "cap_hit", False),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -18,7 +18,8 @@ import numpy.linalg as la
 
 from .errors import DimensionError, GridSizeError
 from .matops import is_psd, symmetrize
-from .model import DirList, PerturbationBox, _closed_loop_stack
+from .model import (DirList, PerturbationBox, _check_options,
+                    _closed_loop_stack)
 
 __all__ = [
     "GridReport",
@@ -81,14 +82,7 @@ class MonteCarloConfig:
     noise_law: str = "gaussian"
 
     def __post_init__(self):
-        for name, least in (("horizon", 1), ("trials", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer))
-                    or isinstance(value, bool)):
-                raise ValueError(
-                    f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        _check_options(self, {"horizon": 1, "trials": 1, "seed": 0})
         if self.noise_law not in ("gaussian", "rademacher"):
             raise ValueError(
                 f"unknown noise law {self.noise_law!r}; "

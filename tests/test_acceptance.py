@@ -15,7 +15,6 @@ import pytest
 import scipy.linalg
 
 from multinoise import (
-    BisectOptions,
     CostPair,
     DesignOptions,
     MarginMethod,
@@ -49,8 +48,6 @@ from conftest import (
     unvec,
     vec,
 )
-
-TIGHT_BISECT = BisectOptions(rel_tol=1e-9)
 
 
 def report(criterion: str, ok: bool) -> bool:
@@ -264,11 +261,11 @@ def test_criterion_7_scalar_oracle_suite():
         dirs = [(one, alpha)]
         for bid in (False, True):
             cert = shared_lyapunov_margins(
-                a * one, dirs, one, structure, bid, TIGHT_BISECT
+                a * one, dirs, one, structure, bid
             )
             if abs(cert.y_star - _shared_scalar_closed_form(a, bid)) > 1e-6:
                 failures += 1
-        aux = aux_system_margins(a * one, dirs, structure, None, TIGHT_BISECT)
+        aux = aux_system_margins(a * one, dirs, structure)
         if abs(aux.y_star - _aux_scalar_closed_form(a)) > 1e-6:
             failures += 1
     ok = failures == 0
@@ -306,8 +303,7 @@ def test_criterion_8a_envelope_bound():
             continue
         done += 1
         structure = UncertaintyStructure(theta=np.asarray(envelopes))
-        cert = shared_lyapunov_margins(A_cl, dirs, Q, structure, False,
-                                       TIGHT_BISECT)
+        cert = shared_lyapunov_margins(A_cl, dirs, Q, structure, False)
         for eta_k, env_k, (_, a_k) in zip(cert.box.eta, envelopes, dirs):
             ok = ok and (eta_k < env_k < math.sqrt(a_k))
     # single-direction margins never exceed sqrt(alpha)

@@ -216,6 +216,30 @@ def test_verify_grid_reads_only_json_flags(tmp_path, capsys, bidirectional,
         assert report["worst_rho"] == pytest.approx(worst_rho)
 
 
+def _scalar_cert(**fields):
+    cert = {"method": "shared-uni", "y_star": 0.7, "eta": [0.7], "psi": [],
+            "bidirectional": False}
+    return {**cert, **fields}
+
+
+@pytest.mark.parametrize("doc, field", [
+    # float("0.7") would read the string as the number
+    (_scalar_cert(eta=["0.7"]), "eta"),
+    (_scalar_cert(P=[[True]]), "P"),
+    ({"K": [[0.0]], "y_star": 0.7, "certificate": _scalar_cert(),
+      "diagnostics": {"rho_closed_loop": 0.5, "worst_box_rho": "inf"}},
+     "diagnostics.worst_box_rho"),
+])
+def test_verify_grid_reads_only_json_numbers(tmp_path, capsys, doc, field):
+    path = write_problem(tmp_path, {"A": [[-0.5]], "B": [[1.0]],
+                                    "A_dirs": [[[1.0]]]})
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    assert main(["verify-grid", path, "--cert", str(cert_path),
+                 "--samples", "50"]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
 def test_design_algo2_emits_bidirectional_box(tmp_path, capsys):
     path = write_problem(tmp_path, pendulum_doc())
     code, out = run_json(capsys, ["design", path, "--algo", "2"])
@@ -257,7 +281,8 @@ def test_simulate_bad_config_exit_two(tmp_path, capsys, flag, value):
     argv[flag] = value
     code = main(["simulate", path] + [x for kv in argv.items() for x in kv])
     assert code == 2
-    assert f"{flag[2:]} must be >=" in capsys.readouterr().err
+    assert (f"MonteCarloConfig.{flag[2:]} must be an integer >="
+            in capsys.readouterr().err)
 
 
 def test_parse_error_exit_two(tmp_path, capsys):

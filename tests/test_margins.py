@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -42,7 +43,6 @@ from conftest import (
     random_mss_instance,
 )
 
-TIGHT = BisectOptions(rel_tol=1e-9)
 ONE = np.array([[1.0]])
 
 
@@ -129,7 +129,7 @@ def test_shared_margins_scalar_closed_form(a, alpha, bidirectional):
     if a * a + alpha >= 1.0:
         pytest.skip("not mean-square stable")
     cert = shared_lyapunov_margins(
-        a * ONE, [(ONE, alpha)], ONE, single_structure(), bidirectional, TIGHT
+        a * ONE, [(ONE, alpha)], ONE, single_structure(), bidirectional
     )
     expected = shared_scalar_closed_form(a, bidirectional)
     assert cert.y_star == pytest.approx(expected, abs=1e-6)
@@ -140,8 +140,7 @@ def test_shared_margins_zero_cross_closed_form():
     # 1 + alpha*P >= 2 eta^2 P with P = 1/(1-alpha), so eta* = 1/sqrt(2)
     for alpha in (0.1, 0.6):
         cert = shared_lyapunov_margins(
-            np.zeros((1, 1)), [(ONE, alpha)], ONE, single_structure(),
-            False, TIGHT,
+            np.zeros((1, 1)), [(ONE, alpha)], ONE, single_structure(), False
         )
         assert cert.y_star == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
@@ -158,10 +157,7 @@ def test_shared_margins_pendulum_pipeline(pendulum, pendulum_alg1):
     noise = pendulum.noise.with_variances([pendulum_alg1.z_star], [])
     A_cl, dirs = closed_loop_substitution(pendulum.system, noise, K)
     q_term = pendulum.costs.Q + K.T @ pendulum.costs.R @ K
-    cert = shared_lyapunov_margins(
-        A_cl, dirs, q_term, pendulum.structure, False,
-        pendulum.bisect_options,
-    )
+    cert = shared_lyapunov_margins(A_cl, dirs, q_term, pendulum.structure)
     assert cert.box.eta[0] == pytest.approx(6.997, rel=0.05)
 
 
@@ -462,7 +458,7 @@ def test_proportional_envelope_ordering():
             continue
         done += 1
         structure = UncertaintyStructure(theta=np.asarray(envelopes))
-        cert = shared_lyapunov_margins(A_cl, dirs, Q, structure, False, TIGHT)
+        cert = shared_lyapunov_margins(A_cl, dirs, Q, structure, False)
         for eta_k, env_k, (_, a_k) in zip(cert.box.eta, envelopes, dirs):
             assert eta_k < env_k < math.sqrt(a_k)
 
@@ -745,14 +741,9 @@ def test_shared_margins_split_once_per_certificate(monkeypatch, p,
     calls = _count_splits(monkeypatch)
     for A_cl, dirs, structure in _split_instances(60 + p, p, count=2):
         active = int(np.count_nonzero(structure.weights))
-        counts = []
-        for rel_tol in (1e-3, 1e-9):
-            calls.clear()
-            shared_lyapunov_margins(A_cl, dirs, None, structure,
-                                    bidirectional, BisectOptions(rel_tol))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == active + active * active
-        assert counts[0] <= p + p * p
+        calls.clear()
+        shared_lyapunov_margins(A_cl, dirs, None, structure, bidirectional)
+        assert len(calls) == active + active * active <= p + p * p
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -767,6 +758,16 @@ def test_aux_margins_are_tight(p):
 
 
 # ------------------------------------------------------------------ dispatch
+
+@pytest.mark.parametrize("fn", [shared_lyapunov_margins, conservative_margins,
+                                scalar_exact_margins, aux_system_margins,
+                                compute_margins])
+def test_margin_methods_take_no_solver_options(fn):
+    # every edge is a pencil root capped at one constant: no margin method
+    # bisects, and the aux certificate is always for the constant term I
+    params = inspect.signature(fn).parameters
+    assert "bisect_opts" not in params and "q_cert" not in params
+
 
 def test_compute_margins_dispatch():
     rng = np.random.default_rng(34)

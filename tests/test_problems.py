@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,55 @@ def test_certificate_flags_and_scale_are_strict(name, bad):
         certificate_from_dict(cert)
     with pytest.raises(ProblemFormatError, match=f"field '{name}'"):
         design_result_from_dict(design_doc(cert))
+
+
+@pytest.mark.parametrize("name, bad", [
+    # float("0.7") would read the string, and a bool would read as 0 or 1
+    ("eta", ["0.7"]), ("eta", [None]), ("psi", [True]), ("eta", "0.7"),
+    ("P", [[1.0, "0"], [0.0, 1.0]]), ("zeta", [False]),
+])
+def test_certificate_arrays_are_json_numbers(name, bad):
+    cert = certificate_doc()
+    cert[name] = bad
+    with pytest.raises(ProblemFormatError, match=f"field '{name}'"):
+        certificate_from_dict(cert)
+    with pytest.raises(ProblemFormatError, match=f"field '{name}'"):
+        design_result_from_dict(design_doc(cert))
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("rho_closed_loop", "nan"), ("rho_closed_loop", None),
+    ("rho_closed_loop", True), ("worst_box_rho", "inf"),
+    ("worst_box_rho", [0.5]), ("rho_true_closed_loop", math.nan),
+])
+def test_design_diagnostics_are_strict(name, bad):
+    doc = design_doc(certificate_doc())
+    doc["diagnostics"][name] = bad
+    with pytest.raises(ProblemFormatError, match=f"field 'diagnostics.{name}'"):
+        design_result_from_dict(doc)
+
+
+def test_design_diagnostics_must_be_an_object():
+    doc = design_doc(certificate_doc())
+    doc["diagnostics"] = [0.5]
+    with pytest.raises(ProblemFormatError, match="field 'diagnostics'"):
+        design_result_from_dict(doc)
+
+
+@pytest.mark.parametrize("name, bad, field", [
+    ("A", [[1.0, 0.1], ["0.5", 1.0]], "A"),
+    ("A", [[1.0, 0.1], [True, 1.0]], "A"),
+    ("alpha", ["0.2"], "alpha"),
+    ("A_dirs", [[[0.0, 0.0], [None, 0.0]]], "A_dirs[0]"),
+    ("options", {"tol_rel": "1e-3"}, "options.tol_rel"),
+    ("options", {"max_iter": True}, "options.max_iter"),
+    ("options", {"bracket_cap": [1e6]}, "options.bracket_cap"),
+])
+def test_problem_numbers_are_json_numbers(name, bad, field):
+    doc = minimal_doc()
+    doc[name] = bad
+    with pytest.raises(ProblemFormatError, match=rf"field '{re.escape(field)}'"):
+        parse_problem(doc)
 
 
 @pytest.mark.parametrize("name, bad", [

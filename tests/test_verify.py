@@ -201,7 +201,8 @@ def test_monte_carlo_config_validation():
     ]:
         fields = dict(horizon=1, trials=1, seed=0)
         fields[field] = value
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(ValueError,
+                           match=rf"^MonteCarloConfig\.{field} must be"):
             MonteCarloConfig(**fields)
     with pytest.raises(ValueError, match="noise law"):
         MonteCarloConfig(horizon=1, trials=1, seed=0, noise_law="cauchy")
