@@ -37,7 +37,7 @@ from .errors import (
 from .gare import solve_gare
 from .margins import MarginMethod, compute_margins, conservative_margins
 from .matops import spectral_radius
-from .model import PerturbationBox, closed_loop_substitution
+from .model import closed_loop_substitution
 from .problems import (
     Problem,
     certificate_from_dict,
@@ -226,9 +226,7 @@ def cmd_verify_grid(args) -> int:
     if K is None:
         K = np.zeros((problem.system.m, problem.system.n))
     A_cl, dirs = closed_loop_substitution(problem.system, problem.noise, K)
-    box = PerturbationBox(eta=cert.box.eta, psi=cert.box.psi,
-                          bidirectional=cert.box.bidirectional)
-    report = grid_verify(A_cl, dirs, box, args.samples)
+    report = grid_verify(A_cl, dirs, cert.box, args.samples)
     _emit({
         "samples": report.samples,
         "worst_rho": report.worst_rho,

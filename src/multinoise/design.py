@@ -6,13 +6,13 @@ as the Riccati solver tolerates, then certifies margins for the resulting
 gain with a shared quadratic form (one-sided margins). The second bisects
 the margins directly, running the Riccati solver on dynamics scaled up by
 the margin-dependent factor so that its feasibility certifies two-sided
-margins. Gains are always evaluated at the last parameter value that
-passed the feasibility probe, never at an unresolved midpoint: near the
-feasibility boundary the value matrix blows up, and a returned gain must
-correspond to a certified parameter. Both designs take their certificates
-from the builders in :mod:`multinoise.margins` that the margin methods use:
-the shared-Lyapunov box on the Riccati P for the first, the auxiliary-system
-box for the second.
+margins. Gains always come from the Riccati solution that the bisection
+hands back with the parameter it reports, never from an unresolved
+midpoint: near the feasibility boundary the value matrix blows up, and a
+returned gain must correspond to a certified parameter. Both designs take
+their certificates from the builders in :mod:`multinoise.margins` that the
+margin methods use: the shared-Lyapunov box on the Riccati P for the first,
+the auxiliary-system box for the second.
 
 Runs are deterministic: identical inputs and options produce bit-identical
 gains.
@@ -68,7 +68,8 @@ class DesignOptions:
 
     gare: GareOptions = field(default_factory=GareOptions)
     bisect: BisectOptions = field(default_factory=BisectOptions)
-    #: samples per direction for the worst-case grid diagnostic, >= 2
+    #: samples per direction for the worst-case grid diagnostic, >= 2;
+    #: halved while the grid exceeds the diagnostic's point budget
     grid_samples_per_dir: int = 100
 
     def __post_init__(self):
@@ -77,7 +78,9 @@ class DesignOptions:
 
 @dataclass
 class DesignDiagnostics:
-    """Spectral radii summarizing a design."""
+    """Spectral radii summarizing a design. ``worst_box_rho`` is None
+    without a box, or when 2 samples per direction already exceed the
+    grid diagnostic's point budget."""
 
     rho_closed_loop: float
     worst_box_rho: float | None = None
@@ -103,11 +106,14 @@ class DesignResult:
     cap_hit: bool = False
 
 
-def _grid_samples(count: int, requested: int) -> int:
-    if count == 0:
-        return requested
+def _grid_samples(count: int, requested: int) -> int | None:
+    """Samples per direction for the inline grid diagnostic: the request,
+    halved until the grid fits the point budget; None when even 2 per
+    direction overrun it."""
+    if 2 ** count > _DIAG_GRID_POINTS:
+        return None
     while requested ** count > _DIAG_GRID_POINTS and requested > 2:
-        requested = max(2, int(requested // 2))
+        requested = max(2, requested // 2)
     return requested
 
 
@@ -123,7 +129,8 @@ def _diagnostics(
     worst = None
     if box is not None and box.bounds.size:
         samples = _grid_samples(len(dirs), opts.grid_samples_per_dir)
-        worst = grid_verify(A_cl, dirs, box, samples).worst_rho
+        if samples is not None:
+            worst = grid_verify(A_cl, dirs, box, samples).worst_rho
     rho_true = None
     if true_system is not None:
         rho_true = spectral_radius(true_system.A_bar + true_system.B_bar @ K)
@@ -196,28 +203,22 @@ def design_algorithm_1(
     opts = opts or DesignOptions()
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
 
-    last: GareSolution | None = None  # solution at the last feasible z
-
     def noise_at(z: float) -> NoiseModel:
         return base.with_variances(z * structure.theta, z * structure.phi)
 
-    def feasible_z(z: float) -> bool:
-        nonlocal last
-        sol = feasible_gare_solution(sys, noise_at(z), costs, opts.gare)
-        if sol is not None:
-            last = sol
-        return sol is not None
+    def feasible_z(z: float) -> GareSolution | None:
+        return feasible_gare_solution(sys, noise_at(z), costs, opts.gare)
 
-    # the bisection probes z = 0 first; no feasible probe means none at 0
-    z_star, z_cap = bisect_max_feasible(feasible_z, opts.bisect)
-    if last is None:
+    # the bisection probes z = 0 first; no witness means none at 0
+    z_star, z_cap, sol = bisect_max_feasible(feasible_z, opts.bisect)
+    if sol is None:
         raise UnstabilizableError(
             "no stabilizing gain exists even at zero noise"
         )
-    K = last.K
+    K = sol.K
     A_cl, dirs = closed_loop_substitution(sys, noise_at(z_star), K)
     cert = _shared_certificate(A_cl, dirs, costs.Q + K.T @ costs.R @ K,
-                               last.P, structure, False)
+                               sol.P, structure, False)
     return DesignResult(
         K=K,
         certificate=cert,
@@ -250,25 +251,19 @@ def design_algorithm_2(
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
     w, p = structure.weights, structure.p
 
-    last: GareSolution | None = None  # solution at the last feasible y
-
-    def feasible_y(y: float) -> bool:
-        nonlocal last
+    def feasible_y(y: float) -> GareSolution | None:
         z, var = _aux_scaling(y, w)
-        sol = feasible_gare_solution(
+        return feasible_gare_solution(
             NominalSystem(A=z * sys.A, B=z * sys.B),
             base.with_variances(var[:p], var[p:]), costs, opts.gare)
-        if sol is not None:
-            last = sol
-        return sol is not None
 
-    # the bisection probes y = 0 first; no feasible probe means none at 0
-    y_star, y_cap = bisect_max_feasible(feasible_y, opts.bisect)
-    if last is None:
+    # the bisection probes y = 0 first; no witness means none at 0
+    y_star, y_cap, sol = bisect_max_feasible(feasible_y, opts.bisect)
+    if sol is None:
         raise UnstabilizableError(
             "no stabilizing gain exists even at zero margins"
         )
-    K = last.K
+    K = sol.K
     # the steady-state solution of the auxiliary closed loop is the
     # quadratic form that certifies every sign corner of the box at once
     A_cl, dirs = closed_loop_substitution(sys, base, K)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 import numpy.linalg as la
@@ -48,6 +48,8 @@ __all__ = [
     "compute_margins",
 ]
 
+_W = TypeVar("_W")
+
 
 class MarginMethod(str, Enum):
     """How a margin certificate was produced."""
@@ -60,36 +62,28 @@ class MarginMethod(str, Enum):
     CONS_SIMPLE = "cons-simple"
 
 
-#: largest margin scale y any margin method reports; a check that still
-#: passes there is reported as ``cap_hit`` (an unbounded or degenerate
-#: margin), not as a maximum
+#: largest y any search reports, the margin edges and the designs'
+#: bisections over z and y alike; a check that still passes there is
+#: reported as ``cap_hit`` (an unbounded or degenerate margin), not as a
+#: maximum. A power of two, so the bisection bracket doubles from 1 onto it.
 BRACKET_CAP = 2.0 ** 60
 
 
 @dataclass(frozen=True)
 class BisectOptions:
-    """Bracket policy for the designs' feasibility bisections over z and y.
+    """Stopping rule for the designs' feasibility bisections over z and y.
 
-    The bracket starts at [0, 1] and the upper end doubles, clamped at
-    ``bracket_cap``, until it turns infeasible; a feasible cap is reported
-    as a distinct ``cap_hit`` diagnostic (the margin is unbounded or
-    degenerate) rather than silently returned as a maximum. The margin
-    methods solve for their edge, read no options and cap it at
-    :data:`BRACKET_CAP`. ``rel_tol`` and ``abs_tol`` must be finite, >= 0
-    and not both 0, and ``bracket_cap`` finite and > 0, or building the
-    options raises ``ValueError`` naming the field.
+    The bisection ends once its bracket is no wider than
+    ``rel_tol * hi + 1e-12``, or when no float is left between its ends.
+    ``rel_tol`` must be finite and >= 0, or building the options raises
+    ``ValueError`` naming the field. The bracket cap is the constant
+    :data:`BRACKET_CAP`, which the margin methods share.
     """
 
     rel_tol: float = 1e-6
-    abs_tol: float = 1e-12
-    bracket_cap: float = BRACKET_CAP
 
     def __post_init__(self):
-        _check_options(self, {"rel_tol": ">= 0", "abs_tol": ">= 0",
-                              "bracket_cap": "> 0"})
-        if self.rel_tol == 0.0 and self.abs_tol == 0.0:
-            raise ValueError("BisectOptions.rel_tol and BisectOptions.abs_tol"
-                             " must not both be 0")
+        _check_options(self, {"rel_tol": ">= 0"})
 
 
 @dataclass
@@ -114,37 +108,38 @@ class MarginCertificate:
 
 
 def bisect_max_feasible(
-    feasible: Callable[[float], bool],
+    feasible: Callable[[float], _W | None],
     opts: BisectOptions | None = None,
-) -> tuple[float, bool]:
-    """Largest y >= 0 with ``feasible(y)`` true, for predicates that are
+) -> tuple[float, bool, _W | None]:
+    """Largest y >= 0 with ``feasible(y)`` truthy, for predicates that are
     monotone nonincreasing in y.
 
-    Returns ``(y, cap_hit)`` where y was itself evaluated feasible, and
-    ``cap_hit`` when y is the bracket cap. If even y = 0 is infeasible,
-    returns (0.0, False) without claiming feasibility; callers that need
-    feasibility at zero must check it themselves.
+    Returns ``(y, cap_hit, witness)``: y was itself evaluated feasible,
+    ``witness`` is the truthy value ``feasible(y)`` returned, and
+    ``cap_hit`` says y is :data:`BRACKET_CAP`. The bracket starts at
+    [0, 1] and its upper end doubles until a probe fails. If even y = 0 is
+    infeasible, returns (0.0, False, None) without claiming feasibility.
     """
     if opts is None:
         opts = BisectOptions()
-    if not feasible(0.0):
-        return 0.0, False
-    cap = opts.bracket_cap
-    lo, hi = 0.0, min(1.0, cap)
-    while feasible(hi):
-        lo = hi
-        if hi >= cap:
-            return lo, True
-        hi = min(2.0 * hi, cap)
-    while hi - lo > opts.rel_tol * hi + opts.abs_tol:
+    witness = feasible(0.0)
+    if not witness:
+        return 0.0, False, None
+    lo, hi = 0.0, 1.0
+    while probe := feasible(hi):
+        lo, witness = hi, probe
+        if hi == BRACKET_CAP:
+            return lo, True, witness
+        hi *= 2.0
+    while hi - lo > opts.rel_tol * hi + 1e-12:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float left between the ends
             break
-        if feasible(mid):
-            lo = mid
+        if probe := feasible(mid):
+            lo, witness = mid, probe
         else:
             hi = mid
-    return lo, False
+    return lo, False, witness
 
 
 def _pencil_root(L, R1, R0) -> float:

@@ -152,16 +152,13 @@ def _dir_list(data: dict, name: str, var_name: str, shape: tuple) -> list:
 
 
 #: each key of the "options" block, with the options attribute of
-#: :class:`Problem` and the field it sets, in the order they are set; the
-#: two bisection tolerances being both 0 is thus named at bisect_rel_tol
+#: :class:`Problem` and the field it sets
 _OPTION_FIELDS = {
     "tol_abs": ("gare_options", "tol_abs"),
     "tol_rel": ("gare_options", "tol_rel"),
     "blowup": ("gare_options", "blowup"),
     "max_iter": ("gare_options", "max_iter"),
-    "bisect_abs_tol": ("bisect_options", "abs_tol"),
     "bisect_rel_tol": ("bisect_options", "rel_tol"),
-    "bracket_cap": ("bisect_options", "bracket_cap"),
 }
 
 
@@ -393,6 +390,8 @@ def design_result_to_dict(result: DesignResult) -> dict:
 
 
 def design_result_from_dict(data: dict) -> DesignResult:
+    if not isinstance(data, dict):
+        raise ProblemFormatError("design document: expected a JSON object")
     try:
         diag = data.get("diagnostics", {})
         if not isinstance(diag, dict):

@@ -169,7 +169,8 @@ def nlmi_bracket(A_cl, dirs, q_matrix, P, w, bidirectional=False):
             infeasible.append(y)
         return ok
 
-    lo, cap_hit = bisect_max_feasible(feasible, BisectOptions(rel_tol=1e-9))
+    lo, cap_hit, _ = bisect_max_feasible(feasible,
+                                         BisectOptions(rel_tol=1e-9))
     return lo, min(infeasible), cap_hit
 
 

@@ -504,16 +504,17 @@ def no_solver_runs(monkeypatch):
     ({"tol_rel": float("nan")}, ["solve-gare"], "options.tol_rel"),
     ({"bisect_rel_tol": -0.1}, ["margins", "--method", "shared-uni"],
      "options.bisect_rel_tol"),
-    # the two bisection tolerances are not both 0
-    ({"bisect_rel_tol": 0.0, "bisect_abs_tol": 0.0},
-     ["margins", "--method", "shared-uni"], "options.bisect_rel_tol"),
-    # blowup and bracket_cap are finite and > 0
+    ({"bisect_rel_tol": float("inf")}, ["design", "--algo", "2"],
+     "options.bisect_rel_tol"),
+    # blowup is finite and > 0
     ({"blowup": 0.0}, ["solve-gare"], "options.blowup"),
-    ({"bracket_cap": float("inf")}, ["margins", "--method", "aux"],
-     "options.bracket_cap"),
+    # the bisection's absolute floor and its cap are constants, not options
+    ({"bracket_cap": 1e6}, ["design", "--algo", "2"], "options.bracket_cap"),
     # max_iter is an integer >= 1
     ({"max_iter": -3}, ["solve-gare"], "options.max_iter"),
     ({"max_iter": 2.5}, ["design", "--algo", "1"], "options.max_iter"),
+    ({"bisect_abs_tol": 1e-12}, ["design", "--algo", "1"],
+     "options.bisect_abs_tol"),
 ])
 def test_bad_solver_option_exit_two(tmp_path, capsys, no_solver_runs,
                                     options, argv, field):
@@ -530,8 +531,7 @@ def test_bad_solver_option_exit_two(tmp_path, capsys, no_solver_runs,
     ({}, ["design", "--algo", "1", "--blowup", "-1"], "--blowup"),
     ({}, ["design", "--algo", "1", "--bisect-tol", "-0.001"],
      "--bisect-tol"),
-    ({"bisect_abs_tol": 0.0},
-     ["design", "--algo", "1", "--bisect-tol", "0"], "--bisect-tol"),
+    ({}, ["design", "--algo", "2", "--bisect-tol", "inf"], "--bisect-tol"),
 ])
 def test_bad_solver_flag_exit_two(tmp_path, capsys, no_solver_runs,
                                   options, argv, flag):
@@ -544,8 +544,8 @@ def test_bad_solver_flag_exit_two(tmp_path, capsys, no_solver_runs,
 
 def test_valid_solver_options_still_parse(tmp_path, capsys):
     doc = stable_doc()
-    doc["options"] = {"tol_abs": 0.0, "bisect_abs_tol": 0.0,
-                      "max_iter": 50.0, "bracket_cap": 1e6}
+    doc["options"] = {"tol_abs": 0.0, "bisect_rel_tol": 0.0,
+                      "max_iter": 50.0}
     path = write_problem(tmp_path, doc)
     code, out = run_json(capsys, ["solve-gare", path, "--tol", "1e-4"])
     assert code == 0

@@ -22,7 +22,9 @@ from multinoise import (
     nlmi_feasible,
 )
 from multinoise import gare
+from multinoise.design import _grid_samples
 from multinoise.gare import feasible_gare_solution
+from multinoise.margins import _aux_scaling
 from multinoise.stability import _mss_holds
 
 from conftest import direct_margin_matrix
@@ -108,6 +110,21 @@ def test_designs_are_deterministic(pendulum, pendulum_opts):
                             pendulum.structure, pendulum_opts)
     np.testing.assert_array_equal(r1.K, r2.K)
     assert r1.z_star == r2.z_star and r1.y_star == r2.y_star
+
+
+def test_design_gains_come_from_the_probe_at_the_reported_value(
+        pendulum, pendulum_alg1, pendulum_alg2):
+    # the Riccati probe run again at z* (design 1) and at y* (design 2)
+    # gives the returned gain bit for bit
+    costs, opts = pendulum.costs, pendulum.gare_options
+    noise = pendulum.noise.with_variances([pendulum_alg1.z_star], [])
+    sol = feasible_gare_solution(pendulum.system, noise, costs, opts)
+    np.testing.assert_array_equal(sol.K, pendulum_alg1.K)
+    z, var = _aux_scaling(pendulum_alg2.y_star, pendulum.structure.weights)
+    scaled = NominalSystem(A=z * pendulum.system.A, B=z * pendulum.system.B)
+    sol = feasible_gare_solution(
+        scaled, pendulum.noise.with_variances(var, []), costs, opts)
+    np.testing.assert_array_equal(sol.K, pendulum_alg2.K)
 
 
 def test_closed_loops_stable_on_grid(pendulum, pendulum_alg1, pendulum_alg2):
@@ -241,22 +258,6 @@ def test_algorithm_2_gain_growth_along_bisection(pendulum):
     assert all(b >= a for a, b in zip(norms, norms[1:]))
 
 
-def test_algorithm_1_frontier_below_a_bracket_cap_that_is_no_power_of_two(
-        pendulum, pendulum_alg1):
-    # the pendulum's variance frontier, 98.14, lies between 64 and a cap of
-    # 100; the bracket is clamped at the cap and bisected, not cut at 64
-    opts = DesignOptions(
-        gare=pendulum.gare_options,
-        bisect=dataclasses.replace(pendulum.bisect_options, bracket_cap=100.0),
-    )
-    a_mats = [D for D, _ in pendulum.noise.a_dirs]
-    res = design_algorithm_1(pendulum.system, pendulum.costs, a_mats, [],
-                             pendulum.structure, opts)
-    assert not res.cap_hit
-    assert res.z_star == pytest.approx(pendulum_alg1.z_star, rel=1e-5)
-    assert 64.0 < res.z_star < 100.0
-
-
 def _not_psd(S):
     """S has a negative diagonal entry, or a negative eigenvalue after the
     diagonal congruence that gives S a unit diagonal. The congruence keeps
@@ -322,3 +323,30 @@ def test_algorithm_2_certificate_reproves_from_its_own_data(design_instances):
         assert la.norm(residual) <= 1e-8 * la.norm(P)
         assert _mss_holds(A_aux, aux_dirs)
         assert res.z_star == pytest.approx(math.sqrt(scale), rel=1e-12)
+
+
+def test_diagnostic_grid_budget_per_direction_count():
+    # 2^16 points fit the 100,000-point budget, 2^17 do not
+    assert _grid_samples(16, 100) == 2
+    assert _grid_samples(17, 100) is None
+    assert _grid_samples(2, 10_000) ** 2 <= 100_000
+
+
+@pytest.mark.parametrize("algo", [design_algorithm_1, design_algorithm_2])
+def test_design_over_the_diagnostic_grid_budget_reports_no_box_radius(algo):
+    # 24 directions need 2^24 grid points even at 2 samples each: the
+    # design reports no worst-case box radius rather than failing on a grid
+    # size it was never given
+    n = 5
+    sys = NominalSystem(A=0.9 * np.eye(n) + 0.1 * np.eye(n, k=1),
+                        B=np.eye(n))
+    dirs = [np.outer(np.eye(n)[i], np.eye(n)[j])
+            for i in range(n) for j in range(n)][:24]
+    structure = UncertaintyStructure(theta=np.ones(24))
+    opts = DesignOptions(gare=gare.GareOptions(tol_abs=0.0, tol_rel=1e-6,
+                                               max_iter=1000))
+    res = algo(sys, CostPair(Q=np.eye(n), R=np.eye(n)), dirs, [], structure,
+               opts)
+    assert res.y_star > 0 and not res.cap_hit
+    assert res.diagnostics.worst_box_rho is None
+    assert res.diagnostics.rho_closed_loop < 1.0

@@ -29,6 +29,7 @@ from multinoise import (
     spectral_radius,
 )
 from multinoise.margins import (
+    BRACKET_CAP,
     bisect_max_feasible,
     _single_dir_condition,
     _sqrt_shift_gap,
@@ -519,51 +520,63 @@ def test_bidirectional_never_exceeds_unidirectional():
 
 
 def test_bisect_max_feasible_ends_at_float_resolution():
-    # with rel_tol 0 and abs_tol the least subnormal, far below the 5.6e-17
-    # gap between neighbouring floats near 0.3, the bracket closes only when
-    # no float is left between its ends; the probe budget turns a loop that
-    # never ends into a failure
+    # with rel_tol 0 the stopping width is the absolute floor 1e-12, below
+    # the 1.8e-12 gap between neighbouring floats near 1e4, so the bracket
+    # closes only when no float is left between its ends; the probe budget
+    # turns a loop that never ends into a failure
+    frontier = 10_000.3
+    assert np.spacing(frontier) > 1e-12
     probes = []
 
     def feasible(y):
         probes.append(y)
         assert len(probes) < 10_000, "bisection did not end"
-        return y <= 0.3
-
-    y, cap_hit = bisect_max_feasible(feasible, BisectOptions(0.0, 5e-324))
-    assert not cap_hit
-    assert y == 0.3 or np.nextafter(y, 1.0) == 0.3
-
-
-@pytest.mark.parametrize("cap, frontier", [(3.0, 2.5), (1e6, 6e5), (0.5, 98.0)])
-def test_bisect_max_feasible_clamps_the_bracket_at_the_cap(cap, frontier):
-    # a cap that is no power of two still bounds every probe, a frontier
-    # below it is bisected, and a hit is reported only for a feasible cap
-    probes = []
-
-    def feasible(y):
-        probes.append(y)
         return y <= frontier
 
-    y, cap_hit = bisect_max_feasible(feasible, BisectOptions(bracket_cap=cap))
-    assert max(probes) <= cap
-    if frontier < cap:
-        assert not cap_hit
-        assert y <= frontier and y == pytest.approx(frontier, rel=2e-6)
-    else:
-        assert cap_hit and y == cap
+    y, cap_hit, witness = bisect_max_feasible(feasible, BisectOptions(0.0))
+    assert not cap_hit and witness is True
+    assert y == frontier or np.nextafter(y, math.inf) == frontier
 
 
 def test_bisect_max_feasible_default_cap_probes_powers_of_two():
-    # the default cap is a power of two, reached by plain doubling
+    # the cap is a power of two, reached by plain doubling from 1
     probes = []
 
     def feasible(y):
         probes.append(y)
         return True
 
-    assert bisect_max_feasible(feasible) == (2.0 ** 60, True)
+    assert bisect_max_feasible(feasible) == (2.0 ** 60, True, True)
     assert probes == [0.0] + [2.0 ** k for k in range(61)]
+
+
+@pytest.mark.parametrize("frontier, expect_cap", [
+    (-1.0, False),       # infeasible at 0: no witness
+    (math.inf, True),    # feasible at the cap
+    (98.14, False),      # a frontier inside the bracket
+    (0.0, False),        # feasible at 0 only
+])
+def test_bisect_max_feasible_returns_the_witness_of_its_y(frontier,
+                                                          expect_cap):
+    # every probe returns a distinct object, so the witness names the one
+    # probe whose y is reported
+    probes = {}
+
+    def feasible(y):
+        probes[y] = object() if y <= frontier else None
+        return probes[y]
+
+    y, cap_hit, witness = bisect_max_feasible(feasible)
+    assert cap_hit is expect_cap
+    if frontier < 0:
+        assert (y, witness) == (0.0, None)
+        return
+    assert witness is probes[y] and witness is not None
+    assert y <= frontier
+    if expect_cap:
+        assert y == BRACKET_CAP
+    elif frontier > 0:
+        assert y == pytest.approx(frontier, rel=2e-6)
 
 
 # ------------------------------------------- inequality split per certificate

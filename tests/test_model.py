@@ -160,8 +160,6 @@ _OPTION_FIELDS = [
     (GareOptions, "blowup", _BAD_THRESHOLD),
     (GareOptions, "max_iter", _NOT_FINITE + [-3, 0, 2.5, 50.0]),
     (BisectOptions, "rel_tol", _BAD_TOLERANCE),
-    (BisectOptions, "abs_tol", _BAD_TOLERANCE),
-    (BisectOptions, "bracket_cap", _BAD_THRESHOLD),
     (DesignOptions, "grid_samples_per_dir", _NOT_FINITE + [-3, 0, 1, 2.5]),
 ]
 
@@ -180,18 +178,10 @@ def test_options_reject_a_bad_value_when_built(cls, name, value):
 @pytest.mark.parametrize("cls, name, value", [
     (GareOptions, "tol_abs", 0.0), (GareOptions, "max_iter", 1),
     (GareOptions, "max_iter", np.int64(7)), (BisectOptions, "rel_tol", 0.0),
-    (BisectOptions, "bracket_cap", 1e-300),
     (DesignOptions, "grid_samples_per_dir", 2),
 ])
 def test_options_accept_the_edge_of_each_rule(cls, name, value):
     assert getattr(cls(**{name: value}), name) == value
-
-
-def test_bisection_tolerances_are_not_both_zero():
-    with pytest.raises(ValueError, match=r"BisectOptions\.rel_tol"):
-        BisectOptions(rel_tol=0.0, abs_tol=0.0)
-    with pytest.raises(ValueError, match=r"BisectOptions\.rel_tol"):
-        dataclasses.replace(BisectOptions(abs_tol=0.0), rel_tol=0.0)
 
 
 @pytest.mark.parametrize("cls, name", [

@@ -55,10 +55,13 @@ def test_parse_errors_name_the_field():
     doc["Q"] = [[1.0, 2.0], [0.0, 1.0]]
     with pytest.raises(ProblemFormatError, match="'Q'"):
         parse_problem(doc)
-    doc = minimal_doc()
-    doc["options"] = {"bogus": 1}
-    with pytest.raises(ProblemFormatError, match="options.bogus"):
-        parse_problem(doc)
+    # the bisection's absolute floor and its cap are constants, not options
+    for key in ("bogus", "bisect_abs_tol", "bracket_cap"):
+        doc = minimal_doc()
+        doc["options"] = {key: 1}
+        with pytest.raises(ProblemFormatError,
+                           match=rf"field 'options\.{key}': unknown option"):
+            parse_problem(doc)
 
 
 def test_direction_errors_name_one_field():
@@ -106,6 +109,16 @@ def test_problem_round_trip():
                                   problem.true_system.A_bar)
     assert again.gare_options == problem.gare_options
     assert again.bisect_options == problem.bisect_options
+    assert list(doc["options"]) == ["tol_abs", "tol_rel", "blowup",
+                                    "max_iter", "bisect_rel_tol"]
+
+
+@pytest.mark.parametrize("doc", [[1], "x"])
+def test_result_documents_must_be_objects(doc):
+    with pytest.raises(ProblemFormatError, match="design document"):
+        design_result_from_dict(doc)
+    with pytest.raises(ProblemFormatError, match="certificate document"):
+        certificate_from_dict(doc)
 
 
 def test_pendulum_builtin_values():
@@ -251,7 +264,7 @@ def test_design_diagnostics_must_be_an_object():
     ("A_dirs", [[[0.0, 0.0], [None, 0.0]]], "A_dirs[0]"),
     ("options", {"tol_rel": "1e-3"}, "options.tol_rel"),
     ("options", {"max_iter": True}, "options.max_iter"),
-    ("options", {"bracket_cap": [1e6]}, "options.bracket_cap"),
+    ("options", {"bisect_rel_tol": [1e-6]}, "options.bisect_rel_tol"),
 ])
 def test_problem_numbers_are_json_numbers(name, bad, field):
     doc = minimal_doc()
