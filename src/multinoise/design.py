@@ -14,6 +14,11 @@ their certificates from the builders in :mod:`multinoise.margins` that the
 margin methods use: the shared-Lyapunov box on the Riccati P for the first,
 the auxiliary-system box for the second.
 
+Each bisection asks for the points of its next few steps at once, and
+their Riccati probes run as one stacked value iteration; the bisection then
+reads the verdicts it would have probed one at a time and drops the rest,
+so the stacking changes how long a design takes, never what it returns.
+
 Runs are deterministic: identical inputs and options produce bit-identical
 gains.
 """
@@ -24,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, UnstabilizableError
-from .gare import GareOptions, GareSolution, feasible_gare_solution
+from .errors import DimensionError, NumericalError, UnstabilizableError
+from .gare import (GareOptions, GareSolution, _feasible_stack,
+                   feasible_gare_solution)
 from .margins import (
     BisectOptions,
     MarginCertificate,
@@ -206,8 +212,11 @@ def design_algorithm_1(
     def noise_at(z: float) -> NoiseModel:
         return base.with_variances(z * structure.theta, z * structure.phi)
 
-    def feasible_z(z: float) -> GareSolution | None:
-        return feasible_gare_solution(sys, noise_at(z), costs, opts.gare)
+    def feasible_z(
+        zs: tuple[float, ...],
+    ) -> list[GareSolution | NumericalError | None]:
+        return _feasible_stack([sys] * len(zs), [noise_at(z) for z in zs],
+                               costs, opts.gare)
 
     # the bisection probes z = 0 first; no witness means none at 0
     z_star, z_cap, sol = bisect_max_feasible(feasible_z, opts.bisect)
@@ -251,11 +260,15 @@ def design_algorithm_2(
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
     w, p = structure.weights, structure.p
 
-    def feasible_y(y: float) -> GareSolution | None:
-        z, var = _aux_scaling(y, w)
-        return feasible_gare_solution(
-            NominalSystem(A=z * sys.A, B=z * sys.B),
-            base.with_variances(var[:p], var[p:]), costs, opts.gare)
+    def feasible_y(
+        ys: tuple[float, ...],
+    ) -> list[GareSolution | NumericalError | None]:
+        systems, noises = [], []
+        for y in ys:
+            z, var = _aux_scaling(y, w)
+            systems.append(NominalSystem(A=z * sys.A, B=z * sys.B))
+            noises.append(base.with_variances(var[:p], var[p:]))
+        return _feasible_stack(systems, noises, costs, opts.gare)
 
     # the bisection probes y = 0 first; no witness means none at 0
     y_star, y_cap, sol = bisect_max_feasible(feasible_y, opts.bisect)

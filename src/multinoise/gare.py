@@ -13,6 +13,12 @@ and the stopping rule and the divergence test are evaluated once per block
 for all of its iterates; the solve returns at the first iterate that meets
 either, so its result is the per-step rule's, with at most 63 iterates
 computed past the stop and discarded.
+The iteration runs on a stack of problems that share n, m and the costs,
+such as the design bisections' probes at several noise levels: each
+iteration is one stacked matrix-vector product and the pivots of every
+member at once, and the tests run per member once per block, so each
+member stops at its own iterate with the result it has alone.
+:func:`solve_gare` is the one-member stack.
 Divergence of the iterates doubles as the mean-square stabilizability
 probe used by the design bisections: when no finite value exists, the
 iterates grow without bound, and when the noise parameters sit near the
@@ -28,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import Sequence
 
 import numpy as np
 import numpy.linalg as la
@@ -99,6 +106,9 @@ class GareSolution:
         return self.status == "converged"
 
 
+#: the options of a solve given none; frozen, so every such solve shares it
+_DEFAULT_OPTIONS = GareOptions()
+
 #: block sizes of the value iteration: the first block, doubled per block
 #: up to the last. The tests cost a few array calls per block, and a stop
 #: discards the rest of its block, at most _LAST_BLOCK - 1 iterates, which
@@ -149,15 +159,156 @@ def _lifted_step_operators(sys: NominalSystem, noise: NoiseModel):
     A, B = sys.A, sys.B
     n, m = sys.n, sys.m
     b_dirs = [(D, b) for D, b in noise.b_dirs if b != 0.0]
-    Bs = np.stack([B] + [D for D, _ in b_dirs])[:, :, ::-1]
+    Bs = np.array([B] + [D for D, _ in b_dirs])[:, :, ::-1]
     As = np.zeros((len(Bs), n, n))
     As[0] = A
     b_weights = np.array([1.0] + [b for _, b in b_dirs])
-    R, C = np.tril_indices(n + m)
+    R, C, _ = _svec_maps(n + m)  # the lower triangle of Z, row by row
     N = n * (n + 1) // 2
     inputs = _svec_map_lift(Bs, np.concatenate([As, Bs], axis=2), b_weights,
                             R[N:] - n, C[N:])
-    return np.vstack([_svec_lift(A, noise.a_dirs), inputs])
+    return np.concatenate([_svec_lift(A, noise.a_dirs), inputs])
+
+
+class _Stack:
+    """The members still iterating and their block buffer: ``buf[i, :, b]``
+    holds Z of member b's iterate i of the block, entries first, so that
+    every pivot reads and writes whole rows. Its first N entries are svec
+    of the iterate once the pivots are done, and row 0 is the last iterate
+    of the previous block, ``x0`` at the start. The views of each row that
+    an iteration uses are built once, as the blocks grow."""
+
+    def __init__(self, S, const, x0, N: int, pivots):
+        b, K, _ = S.shape
+        self.S = S
+        self.const = np.repeat(const[:, None], b, axis=1)
+        self.buf = np.empty((_LAST_BLOCK + 1, K, b))
+        self.buf[0, :N] = x0
+        self.N, self.pivots = N, pivots
+        self.z, self.out, self.x = [], [], []
+        self.elims = [([], [], ik, jk) for _, _, ik, jk in pivots]
+
+    def rows(self, size: int):
+        """Views of rows 0..size: each row, as the matmul's (b, K, 1)
+        output and its first N entries as the next matmul's input, and per
+        pivot the row's target and divisor with the pivot's index maps."""
+        if len(self.z) <= size:
+            rows = self.buf[len(self.z):size + 1]
+            by_member = rows.transpose(0, 2, 1)[..., None]
+            self.z.extend(rows)
+            self.out.extend(by_member)
+            self.x.extend(by_member[:, :, :self.N])
+            for (targets, divisors, _, _), (base, kk, _, _) in zip(
+                    self.elims, self.pivots):
+                targets.extend(rows[:, :base])
+                divisors.extend(rows[:, kk])
+        return self.z, self.out, self.x, self.elims
+
+
+def _solve_stack(
+    systems: Sequence[NominalSystem],
+    noises: Sequence[NoiseModel],
+    costs: CostPair,
+    opts: GareOptions | None = None,
+) -> list[GareSolution | NumericalError]:
+    """:func:`solve_gare` for a stack of problems that share n, m and the
+    costs, in one value iteration: member b's result is what
+    ``solve_gare(systems[b], noises[b], costs, opts)`` returns, bit for bit,
+    or the :class:`NumericalError` it raises.
+
+    Each iteration is one stacked matmul of the members' lifted Schur
+    matrices with their iterates, then the m pivots of every member at
+    once. The stopping rule, the blowup test and the pivot test run per
+    member once per block; a member leaves the stack at its first iterate
+    that meets one, and the others go on without it.
+    """
+    opts = opts or _DEFAULT_OPTIONS
+    for sys, noise in zip(systems, noises):
+        _check_dir_shapes(sys, noise)
+    if la.eigvalsh(symmetrize(costs.Q))[0] <= 0:
+        raise ValueError("Q must be positive definite for the value iteration")
+    n, m = systems[0].n, systems[0].m
+    R, C, eye = _svec_maps(n)
+    N = eye.size
+    pivots, inner, cross = _schur_layout(n, m)
+    kks = [kk for _, kk, _, _ in pivots]
+    # off-diagonal svec coordinates stand for two entries of P, so these
+    # weights make the norms below Frobenius norms
+    w = 2.0 - eye
+    S = np.array([_lifted_step_operators(sys, noise)
+                  for sys, noise in zip(systems, noises)])
+    q = costs.Q[R, C]
+    const = np.zeros(S.shape[1])  # the lifted [[Q, 0], [0, R]]
+    const[:N] = q
+    const[inner] = costs.R
+
+    results: list = [None] * len(S)
+    members = list(range(len(S)))  # stack column -> member
+    stack = _Stack(S, const, q[:, None], N, pivots)
+    iterations, size = 0, _FIRST_BLOCK
+    # iterates past a stop are discarded; they may overflow harmlessly
+    with np.errstate(all="ignore"):
+        while iterations < opts.max_iter:
+            size = min(size, opts.max_iter - iterations)
+            S, const_b, buf = stack.S, stack.const, stack.buf
+            zs, outs, ins, elims = stack.rows(size)
+            for i in range(1, size + 1):
+                z = zs[i]
+                np.matmul(S, ins[i - 1], out=outs[i])
+                z += const_b
+                for targets, divisors, ik, jk in elims:
+                    targets[i] -= (z.take(ik, axis=0) * z.take(jk, axis=0)
+                                   / divisors[i])
+            iterations += size
+            new = buf[1:size + 1, :N]
+            step = new - buf[:size, :N]
+            diff = np.sqrt(w @ (step * step))
+            pnorm = np.sqrt(w @ (new * new))
+            # blowup is finite, so a NaN or infinite norm fails this too
+            blown = ~(pnorm <= opts.blowup)
+            stop = blown | (diff <= opts.tol_abs + opts.tol_rel * pnorm)
+            # a finite pivot <= 0 ends its member at that iterate; a
+            # non-finite one is left to the non_finite status
+            pivs = buf[1:size + 1].take(kks, axis=1)
+            failed = None
+            if not pivs.min() > 0.0:  # a pivot <= 0 or NaN
+                failed = ((pivs <= 0.0) & np.isfinite(pivs)).any(axis=1)
+                stop |= failed
+            if not stop.any():
+                buf[0] = buf[size]
+                size = min(2 * size, _LAST_BLOCK)
+                continue
+            hits = stop.any(axis=0).tolist()
+            for b, i in enumerate(stop.argmax(axis=0).tolist()):
+                if not hits[b]:
+                    continue
+                done = iterations - size + i + 1
+                if failed is not None and failed[i, b]:
+                    sol = NumericalError(
+                        "inner input-weight matrix is not positive definite")
+                elif blown[i, b]:
+                    status = ("blowup" if math.isfinite(pnorm[i, b])
+                              else "non_finite")
+                    sol = GareSolution(P=None, K=None, iterations=done,
+                                       status=status)
+                else:
+                    s = buf[i + 1, :N, b]
+                    z = S[b] @ s + const
+                    sol = GareSolution(P=_unsvec(s, n),
+                                       K=-la.solve(z[inner], z[cross]),
+                                       iterations=done, status="converged")
+                results[members[b]] = sol
+            if all(hits):
+                return results
+            going = [b for b, hit in enumerate(hits) if not hit]
+            members = [members[b] for b in going]
+            stack = _Stack(S[going], const, buf[size, :N][:, going], N,
+                           pivots)
+            size = min(2 * size, _LAST_BLOCK)
+    for mb in members:
+        results[mb] = GareSolution(P=None, K=None, iterations=iterations,
+                                   status="iteration_cap")
+    return results
 
 
 def solve_gare(
@@ -178,79 +329,38 @@ def solve_gare(
     finite pivot <= 0 raises :class:`NumericalError`. On convergence the
     optimal gain K = -(R + B^T P B + sum_j beta_j B_j^T P B_j)^-1 B^T P A
     is returned; whether its closed loop is mean-square stable is checked
-    separately by :func:`feasible_gare_solution`.
+    separately by :func:`feasible_gare_solution`. This is the one-member
+    case of the stacked value iteration that the design bisections run.
     """
-    opts = opts or GareOptions()
-    _check_dir_shapes(sys, noise)
-    if la.eigvalsh(symmetrize(costs.Q))[0] <= 0:
-        raise ValueError("Q must be positive definite for the value iteration")
-    n, m = sys.n, sys.m
-    R, C, eye = _svec_maps(n)
-    N = eye.size
-    pivots, inner, cross = _schur_layout(n, m)
-    # off-diagonal svec coordinates stand for two entries of P, so these
-    # weights make the norms below Frobenius norms
-    w = 2.0 - eye
-    S = _lifted_step_operators(sys, noise)
-    q = costs.Q[R, C]
-    const = np.zeros(len(S))  # the lifted [[Q, 0], [0, R]]
-    const[:N] = q
-    const[inner] = costs.R
+    return _raised(_solve_stack([sys], [noise], costs, opts)[0])
 
-    # row i holds Z of iterate i of the block; its first N entries are
-    # svec of the iterate once the pivots are done, and row 0 is the last
-    # iterate of the previous block
-    buf = np.empty((_LAST_BLOCK + 1, len(S)))
-    X = buf[:, :N]
-    X[0] = q
-    iterations, size = 0, _FIRST_BLOCK
-    # iterates past a stop are discarded; they may overflow harmlessly
-    with np.errstate(all="ignore"):
-        while iterations < opts.max_iter:
-            size = min(size, opts.max_iter - iterations)
-            done = size  # iterates of the block with every pivot positive
-            for i in range(1, size + 1):
-                z = buf[i]
-                np.matmul(S, X[i - 1], out=z)
-                z += const
-                for base, kk, ik, jk in pivots:
-                    # a non-finite pivot is left to the non_finite status
-                    piv = z.item(kk)
-                    if piv <= 0.0 and math.isfinite(piv):
-                        done = i - 1
-                        break
-                    z[:base] -= z.take(ik) * z.take(jk) / piv
-                if done < size:
-                    break
-            new = X[1:done + 1]
-            step = new - X[:done]
-            diff = np.sqrt((step * step) @ w)
-            pnorm = np.sqrt((new * new) @ w)
-            # blowup is finite, so a NaN or infinite norm fails this too
-            blown = ~(pnorm <= opts.blowup)
-            stop = blown | (diff <= opts.tol_abs + opts.tol_rel * pnorm)
-            if stop.any():
-                i = int(stop.argmax())
-                iterations += i + 1
-                if blown[i]:
-                    status = ("blowup" if math.isfinite(pnorm[i])
-                              else "non_finite")
-                    return GareSolution(P=None, K=None,
-                                        iterations=iterations, status=status)
-                s = X[i + 1]
-                z = S @ s + const
-                K = -la.solve(z[inner], z[cross])
-                return GareSolution(P=_unsvec(s, n), K=K,
-                                    iterations=iterations, status="converged")
-            if done < size:
-                raise NumericalError(
-                    "inner input-weight matrix is not positive definite"
-                )
-            iterations += size
-            X[0] = X[size]
-            size = min(2 * size, _LAST_BLOCK)
-    return GareSolution(P=None, K=None, iterations=iterations,
-                        status="iteration_cap")
+
+def _feasible_stack(
+    systems: Sequence[NominalSystem],
+    noises: Sequence[NoiseModel],
+    costs: CostPair,
+    opts: GareOptions | None = None,
+) -> list[GareSolution | NumericalError | None]:
+    """:func:`feasible_gare_solution` of each member of a stack, from one
+    :func:`_solve_stack`; a member's pivot failure is returned, not raised,
+    so that a bisection raises it only if it reads that member."""
+    verdicts = []
+    for sys, noise, sol in zip(systems, noises,
+                               _solve_stack(systems, noises, costs, opts)):
+        if isinstance(sol, GareSolution) and not _stabilizes(sys, noise, sol):
+            sol = None
+        verdicts.append(sol)
+    return verdicts
+
+
+def _stabilizes(sys: NominalSystem, noise: NoiseModel,
+                sol: GareSolution) -> bool:
+    """The solve converged and its gain's closed loop is mean-square
+    stable."""
+    if not sol.converged:
+        return False
+    A_cl, dirs = closed_loop_substitution(sys, noise, sol.K)
+    return _mss_holds(A_cl, dirs)
 
 
 def feasible_gare_solution(
@@ -260,9 +370,13 @@ def feasible_gare_solution(
     opts: GareOptions | None = None,
 ) -> GareSolution | None:
     """Converged solution whose closed loop is mean-square stable, else
-    None. This is the probe the design bisections call."""
-    sol = solve_gare(sys, noise, costs, opts)
-    if not sol.converged:
-        return None
-    A_cl, dirs = closed_loop_substitution(sys, noise, sol.K)
-    return sol if _mss_holds(A_cl, dirs) else None
+    None: the probe of the design bisections, which run it on a stack of
+    noise levels at once."""
+    return _raised(_feasible_stack([sys], [noise], costs, opts)[0])
+
+
+def _raised(result):
+    """A member's result, or its NumericalError raised."""
+    if isinstance(result, NumericalError):
+        raise result
+    return result

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 import numpy.linalg as la
@@ -107,35 +107,86 @@ class MarginCertificate:
     cap_hit: bool = False
 
 
+#: the bracket's upper ends while it grows: 0, then 1 doubling onto the cap
+_GROWTH = (0.0,) + tuple(2.0 ** k
+                         for k in range(int(math.log2(BRACKET_CAP)) + 1))
+#: points asked for at once while the bracket grows, and levels of
+#: midpoints (2^levels - 1 points) while it shrinks: one stacked probe of a
+#: design bisection costs about its slowest member, and the verdicts the
+#: walk does not reach are discarded
+_GROWTH_BATCH = 4
+_LEVELS = 3
+
+
+def _midpoints(lo: float, hi: float, rel_tol: float,
+               levels: int) -> list[float]:
+    """Every midpoint the bisection can probe in its next ``levels`` steps
+    from [lo, hi], whichever way each step goes, under its own end test."""
+    if levels == 0 or not hi - lo > rel_tol * hi + 1e-12:
+        return []
+    mid = 0.5 * (lo + hi)
+    if not lo < mid < hi:  # no float left between the ends
+        return []
+    return ([mid] + _midpoints(lo, mid, rel_tol, levels - 1)
+            + _midpoints(mid, hi, rel_tol, levels - 1))
+
+
+def _consulted(verdict):
+    """A verdict the walk reads: an exception stands for a probe that
+    failed, and is raised only now."""
+    if isinstance(verdict, Exception):
+        raise verdict
+    return verdict
+
+
 def bisect_max_feasible(
-    feasible: Callable[[float], _W | None],
+    feasible: Callable[[tuple[float, ...]], Sequence[_W | Exception | None]],
     opts: BisectOptions | None = None,
 ) -> tuple[float, bool, _W | None]:
-    """Largest y >= 0 with ``feasible(y)`` truthy, for predicates that are
+    """Largest y >= 0 with a truthy verdict, for predicates that are
     monotone nonincreasing in y.
 
+    ``feasible`` takes a tuple of y values and returns one verdict per
+    value: a truthy witness, a falsy value, or an exception, which is
+    raised if and when the walk reads that verdict. The bracket starts at
+    [0, 1] and its upper end doubles until a probe fails; it then halves
+    until it is no wider than ``rel_tol * hi + 1e-12``, or no float is
+    left between its ends. Each call asks for the points of several steps
+    at once: the next 4 points of the doubling (0 first, never past
+    :data:`BRACKET_CAP`), then the 7 midpoints of the next 3 halvings,
+    whichever way each goes. The walk then reads the verdicts exactly as a
+    one-point-at-a-time bisection would, so it visits the same points and
+    returns the same result; only the verdicts it reads decide anything.
+
     Returns ``(y, cap_hit, witness)``: y was itself evaluated feasible,
-    ``witness`` is the truthy value ``feasible(y)`` returned, and
-    ``cap_hit`` says y is :data:`BRACKET_CAP`. The bracket starts at
-    [0, 1] and its upper end doubles until a probe fails. If even y = 0 is
-    infeasible, returns (0.0, False, None) without claiming feasibility.
+    ``witness`` is the verdict returned for y, and ``cap_hit`` says y is
+    :data:`BRACKET_CAP`. If even y = 0 is infeasible, returns
+    (0.0, False, None) without claiming feasibility.
     """
-    if opts is None:
-        opts = BisectOptions()
-    witness = feasible(0.0)
-    if not witness:
-        return 0.0, False, None
-    lo, hi = 0.0, 1.0
-    while probe := feasible(hi):
+    rel_tol = (opts or BisectOptions()).rel_tol
+
+    def ask(points):
+        return dict(zip(points, feasible(tuple(points)), strict=True))
+
+    lo, witness, verdicts = 0.0, None, {}
+    for k, hi in enumerate(_GROWTH):
+        if hi not in verdicts:
+            verdicts = ask(_GROWTH[k:k + _GROWTH_BATCH])
+        if not (probe := _consulted(verdicts[hi])):
+            break
         lo, witness = hi, probe
-        if hi == BRACKET_CAP:
-            return lo, True, witness
-        hi *= 2.0
-    while hi - lo > opts.rel_tol * hi + 1e-12:
+    else:
+        return lo, True, witness
+    if witness is None:
+        return 0.0, False, None
+    verdicts = {}
+    while hi - lo > rel_tol * hi + 1e-12:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float left between the ends
             break
-        if probe := feasible(mid):
+        if mid not in verdicts:
+            verdicts = ask(_midpoints(lo, hi, rel_tol, _LEVELS))
+        if probe := _consulted(verdicts[mid]):
             lo, witness = mid, probe
         else:
             hi = mid

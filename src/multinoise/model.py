@@ -93,9 +93,10 @@ class NoiseModel:
     """Multiplicative-noise directions and variances.
 
     ``a_dirs`` carries pairs (A_i, alpha_i) of n x n direction matrices and
-    nonnegative variances; ``b_dirs`` carries (B_j, beta_j) with n x m
-    directions. The number of state directions is limited by the entry count
-    of the dynamics matrix (p <= n^2).
+    finite nonnegative variances; ``b_dirs`` carries (B_j, beta_j) with
+    n x m directions. Any other variance raises ``ValueError`` naming it.
+    The number of state directions is limited by the entry count of the
+    dynamics matrix (p <= n^2).
     """
 
     a_dirs: DirList = field(default_factory=list)
@@ -117,13 +118,15 @@ class NoiseModel:
             n = D.shape[0] if n is None else n
             if D.shape[0] != n:
                 raise DimensionError("a_dirs matrices have mixed dimensions")
-            if v < 0:
-                raise ValueError(f"alpha[{i}] must be nonnegative, got {v}")
+            if not 0.0 <= v < math.inf:  # NaN fails this too
+                raise ValueError(
+                    f"alpha[{i}] must be finite and nonnegative, got {v}")
         for j, (D, v) in enumerate(self.b_dirs):
             if n is not None and D.shape[0] != n:
                 raise DimensionError("b_dirs row count differs from a_dirs")
-            if v < 0:
-                raise ValueError(f"beta[{j}] must be nonnegative, got {v}")
+            if not 0.0 <= v < math.inf:  # NaN fails this too
+                raise ValueError(
+                    f"beta[{j}] must be finite and nonnegative, got {v}")
         if n is not None and self.p > n * n:
             raise ValueError(
                 f"too many state-matrix directions: {self.p} > n^2 = {n * n}"

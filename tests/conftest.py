@@ -20,7 +20,7 @@ from multinoise import (
     symmetrize,
 )
 from multinoise.gare import _lifted_step_operators, _schur_layout
-from multinoise.margins import bisect_max_feasible
+from multinoise.margins import BRACKET_CAP, bisect_max_feasible
 from multinoise.matops import abs_part, pos_part
 from multinoise.stability import _svec_maps, _unsvec
 from multinoise.verify import _grid_axes, _psd_sqrt
@@ -157,17 +157,45 @@ def bisect_min_feasible(feasible, abs_tol=1e-9, cap=2.0 ** 60):
     return hi
 
 
+def sequential_bisect(feasible, rel_tol=1e-6):
+    """``bisect_max_feasible`` one probe at a time, for a predicate of a
+    single y: ``(y, cap_hit, witness)``.
+
+    An oracle for ``bisect_max_feasible``, which asks for the points of
+    several steps at once and must read the verdicts of these probes, in
+    this order, and no others.
+    """
+    witness = feasible(0.0)
+    if not witness:
+        return 0.0, False, None
+    lo, hi = 0.0, 1.0
+    while probe := feasible(hi):
+        lo, witness = hi, probe
+        if hi == BRACKET_CAP:
+            return lo, True, witness
+        hi *= 2.0
+    while hi - lo > rel_tol * hi + 1e-12:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float left between the ends
+            break
+        if probe := feasible(mid):
+            lo, witness = mid, probe
+        else:
+            hi = mid
+    return lo, False, witness
+
+
 def nlmi_bracket(A_cl, dirs, q_matrix, P, w, bidirectional=False):
     """Final bracket of a bisection at rel_tol 1e-9 on ``nlmi_feasible``
     at eta = y * w: the feasible end, the smallest infeasible probe (inf if
     none) and the cap flag."""
     infeasible = [math.inf]
 
-    def feasible(y):
-        ok = nlmi_feasible(A_cl, dirs, q_matrix, P, y * w, bidirectional)
-        if not ok:
-            infeasible.append(y)
-        return ok
+    def feasible(ys):
+        verdicts = [nlmi_feasible(A_cl, dirs, q_matrix, P, y * w,
+                                  bidirectional) for y in ys]
+        infeasible.extend(y for y, ok in zip(ys, verdicts) if not ok)
+        return verdicts
 
     lo, cap_hit, _ = bisect_max_feasible(feasible,
                                          BisectOptions(rel_tol=1e-9))

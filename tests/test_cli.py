@@ -474,7 +474,14 @@ def test_design_bisect_tol_reaches_bisection(tmp_path, capsys, monkeypatch):
 
     def recording(feasible, opts=None):
         seen.append(opts.rel_tol)
-        return bisect(feasible, opts)
+
+        def stacked(ys):  # one verdict per point of the tuple
+            assert isinstance(ys, tuple)
+            verdicts = feasible(ys)
+            assert len(verdicts) == len(ys)
+            return verdicts
+
+        return bisect(stacked, opts)
 
     monkeypatch.setattr(design_mod, "bisect_max_feasible", recording)
     path = write_problem(tmp_path, stable_doc())

@@ -189,8 +189,8 @@ def test_design_rejects_nonpositive_phi():
 def test_design_rejects_bad_grid_samples_before_any_probe(
         pendulum, monkeypatch, design):
     calls = []
-    solve = gare.solve_gare
-    monkeypatch.setattr(gare, "solve_gare",
+    solve = gare._solve_stack
+    monkeypatch.setattr(gare, "_solve_stack",
                         lambda *args: calls.append(1) or solve(*args))
     a_mats = [D for D, _ in pendulum.noise.a_dirs]
     with pytest.raises(ValueError, match="grid_samples_per_dir"):

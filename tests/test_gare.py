@@ -230,12 +230,13 @@ def test_converged_solve_takes_no_linear_solve_per_iteration(monkeypatch):
     assert len(calls) <= 1
 
 
-def assert_matches_stepwise(sys, noise, costs, opts):
-    """solve_gare's result equals the per-step loop's bit for bit; returns
-    its status."""
+def assert_matches_stepwise(sys, noise, costs, opts, got=None):
+    """``got``, by default solve_gare's result, equals the per-step loop's
+    bit for bit; returns its status."""
     with np.errstate(all="ignore"):  # the oracle's last iterate may overflow
         want = stepwise_solve_gare(sys, noise, costs, opts)
-    got = solve_gare(sys, noise, costs, opts)
+    if got is None:
+        got = solve_gare(sys, noise, costs, opts)
     assert (got.status, got.iterations) == (want.status, want.iterations)
     for a, b in ((got.P, want.P), (got.K, want.K)):
         assert (a is None and b is None) or a.tobytes() == b.tobytes()
@@ -265,6 +266,52 @@ def test_block_stopping_rule_matches_the_per_step_loop():
     assert statuses == {"converged", "iteration_cap", "blowup", "non_finite"}
 
 
+def test_stacked_members_match_the_per_step_loop():
+    # the seeded plants stacked by shape: members stop by every status at
+    # iterates all through the blocks, and each leaves the stack on its own
+    by_shape = {}
+    for seed in range(40):
+        sys, noise, costs = seeded_plant(seed)
+        by_shape.setdefault((sys.n, sys.m), []).append((sys, noise, costs))
+    statuses = set()
+    for plants in by_shape.values():
+        systems, noises, costs = zip(*plants)
+        for blowup in (1e12, 1e300):
+            opts = GareOptions(blowup=blowup, max_iter=1000)
+            stack = gare._solve_stack(systems, noises, costs[0], opts)
+            assert len(stack) == len(plants)
+            for plant, got in zip(plants, stack):
+                statuses.add(assert_matches_stepwise(*plant, opts, got))
+    assert statuses == {"converged", "iteration_cap", "blowup", "non_finite"}
+
+
+def test_a_member_that_fails_its_pivot_leaves_the_others_alone():
+    # the second member is test_inner_matrix_that_rounds_to_singular's
+    # plant; its failure is returned, and the members around it converge,
+    # blow up and run to the cap exactly as they do alone
+    costs = CostPair(Q=[[1.0]], R=np.eye(2))
+    systems = [NominalSystem(A=[[0.5]], B=[[1.0, 0.5]]),
+               NominalSystem(A=[[1.0]], B=[[1e9, 1e9]]),
+               NominalSystem(A=[[3.0]], B=[[0.0, 0.0]]),
+               NominalSystem(A=[[1.0]], B=[[1.0, 0.0]])]
+    noises = [NoiseModel(), NoiseModel(), NoiseModel(),
+              NoiseModel(a_dirs=[(np.eye(1), 0.999)])]
+    opts = GareOptions(max_iter=300)
+    stack = gare._solve_stack(systems, noises, costs, opts)
+    assert isinstance(stack[1], NumericalError)
+    assert "not positive definite" in str(stack[1])
+    with pytest.raises(NumericalError):
+        stepwise_solve_gare(systems[1], noises[1], costs, opts)
+    healthy = [0, 2, 3]
+    statuses = [assert_matches_stepwise(systems[i], noises[i], costs, opts,
+                                        stack[i]) for i in healthy]
+    assert statuses == ["converged", "blowup", "iteration_cap"]
+    # the probes of the design bisections pass the failure on unraised
+    verdicts = gare._feasible_stack(systems, noises, costs, opts)
+    assert isinstance(verdicts[1], NumericalError)
+    assert verdicts[0] is not None and verdicts[2:] == [None, None]
+
+
 @pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 23, 24, 25, 55, 56, 57,
                                       119, 120, 121])
 @pytest.mark.parametrize("seed, status, stop", [(38, "converged", 94),
@@ -287,6 +334,32 @@ def test_a_stop_earlier_in_a_block_beats_a_bad_pivot_later(monkeypatch):
     sys, costs = scalar_problem()
     sol = solve_gare(sys, NoiseModel(), costs)
     assert sol.status == "blowup" and sol.iterations == 1
+
+
+def test_a_negative_pivot_mid_block_is_a_numerical_error(monkeypatch):
+    # with this operator (n = m = 1, P_0 = Q = 1) iterate 1 is -1.5, iterate
+    # 2's pivot is 1 - 1.5 = -0.5 and iterate 3 passes blowup with pivot
+    # 9.5 > 0: the solve fails at iterate 2, alone and stacked between
+    # members that converge and blow up
+    failing = NominalSystem(A=[[1.0]], B=[[1.0]])
+    lift = gare._lifted_step_operators
+    monkeypatch.setattr(
+        gare, "_lifted_step_operators",
+        lambda sys, noise: (np.array([[-2.0], [1.0], [1.0]])
+                            if sys is failing else lift(sys, noise)))
+    _, costs = scalar_problem()
+    opts = GareOptions(blowup=10.0)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        solve_gare(failing, NoiseModel(), costs, opts)
+    converging, _ = scalar_problem(a=0.5)
+    diverging, _ = scalar_problem(a=3.0, b=0.0)
+    stack = gare._solve_stack([converging, failing, diverging],
+                              [NoiseModel()] * 3, costs, opts)
+    assert isinstance(stack[1], NumericalError)
+    assert assert_matches_stepwise(converging, NoiseModel(), costs, opts,
+                                   stack[0]) == "converged"
+    assert assert_matches_stepwise(diverging, NoiseModel(), costs, opts,
+                                   stack[2]) == "blowup"
 
 
 def test_discarded_iterates_raise_no_warning():

@@ -528,10 +528,10 @@ def test_bisect_max_feasible_ends_at_float_resolution():
     assert np.spacing(frontier) > 1e-12
     probes = []
 
-    def feasible(y):
-        probes.append(y)
+    def feasible(ys):
+        probes.extend(ys)
         assert len(probes) < 10_000, "bisection did not end"
-        return y <= frontier
+        return [y <= frontier for y in ys]
 
     y, cap_hit, witness = bisect_max_feasible(feasible, BisectOptions(0.0))
     assert not cap_hit and witness is True
@@ -539,15 +539,45 @@ def test_bisect_max_feasible_ends_at_float_resolution():
 
 
 def test_bisect_max_feasible_default_cap_probes_powers_of_two():
-    # the cap is a power of two, reached by plain doubling from 1
-    probes = []
+    # the cap is a power of two, reached by plain doubling from 1, four
+    # points per call
+    calls = []
 
-    def feasible(y):
-        probes.append(y)
-        return True
+    def feasible(ys):
+        calls.append(ys)
+        return [True] * len(ys)
 
     assert bisect_max_feasible(feasible) == (2.0 ** 60, True, True)
-    assert probes == [0.0] + [2.0 ** k for k in range(61)]
+    points = [0.0] + [2.0 ** k for k in range(61)]
+    assert calls == [tuple(points[i:i + 4]) for i in range(0, 62, 4)]
+
+
+def test_bisect_max_feasible_asks_for_three_levels_at_once():
+    # from the bracket [1, 2] the next three halvings can probe these 7
+    # midpoints; the walk reads 1.5, 1.75 and 1.625 of them
+    calls = []
+
+    def feasible(ys):
+        calls.append(ys)
+        return [y <= 1.7 for y in ys]
+
+    bisect_max_feasible(feasible)
+    assert calls[0] == (0.0, 1.0, 2.0, 4.0)
+    assert sorted(calls[1]) == [1.125, 1.25, 1.375, 1.5, 1.625, 1.75, 1.875]
+    assert min(calls[2]) > 1.625 and max(calls[2]) < 1.75
+
+
+def test_bisect_max_feasible_raises_a_failed_probe_it_reads():
+    # the verdict at y = 1.5 is the bracket's first midpoint, so the walk
+    # reads it and raises it
+    failure = RuntimeError("probe failed")
+
+    def feasible(ys):
+        return [failure if y == 1.5 else y <= 1.7 for y in ys]
+
+    with pytest.raises(RuntimeError) as info:
+        bisect_max_feasible(feasible)
+    assert info.value is failure
 
 
 @pytest.mark.parametrize("frontier, expect_cap", [
@@ -562,9 +592,10 @@ def test_bisect_max_feasible_returns_the_witness_of_its_y(frontier,
     # probe whose y is reported
     probes = {}
 
-    def feasible(y):
-        probes[y] = object() if y <= frontier else None
-        return probes[y]
+    def feasible(ys):
+        for y in ys:
+            probes[y] = object() if y <= frontier else None
+        return [probes[y] for y in ys]
 
     y, cap_hit, witness = bisect_max_feasible(feasible)
     assert cap_hit is expect_cap

@@ -48,6 +48,20 @@ def test_noise_model_validation():
         NoiseModel(a_dirs=[(np.eye(1), 0.1)] * 2)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["alpha", "beta"])
+def test_noise_model_rejects_non_finite_variances(kind, value):
+    # a NaN variance used to reach the eigensolver and come back as a
+    # NumericalError, as if the input were well formed
+    good = [(np.eye(2), 0.5)]
+    bad = [(np.eye(2), 0.5), (np.eye(2) if kind == "alpha"
+                              else np.ones((2, 1)), value)]
+    dirs = ({"a_dirs": bad, "b_dirs": [(np.ones((2, 1)), 0.1)]}
+            if kind == "alpha" else {"a_dirs": good, "b_dirs": bad})
+    with pytest.raises(ValueError, match=rf"{kind}\[1\] must be finite"):
+        NoiseModel(**dirs)
+
+
 def test_uncertainty_structure_normalizes():
     s = UncertaintyStructure(theta=[2.0, 2.0], phi=[4.0])
     assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)

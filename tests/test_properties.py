@@ -1,7 +1,8 @@
 """Property tests of the svec lift, the LU stability verdict, the
-pencil-root margins, the bound-then-solve grid sweep and the stacked Monte
-Carlo propagation."""
+pencil-root margins, the speculative bisection, the bound-then-solve grid
+sweep and the stacked Monte Carlo propagation."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import multinoise.verify
 from multinoise import (
+    BisectOptions,
     MonteCarloConfig,
     PerturbationBox,
     UncertaintyStructure,
@@ -24,7 +26,8 @@ from multinoise import (
     solve_gle,
     spectral_radius,
 )
-from multinoise.margins import _single_dir_condition
+from multinoise.margins import (BRACKET_CAP, _single_dir_condition,
+                                bisect_max_feasible)
 from multinoise.matops import pos_part, symmetrize
 from multinoise.stability import _mss_holds, _svec_lift
 from multinoise.verify import (
@@ -41,6 +44,7 @@ from conftest import (
     nlmi_bracket,
     random_mss_instance,
     row_loop_second_moment,
+    sequential_bisect,
 )
 
 #: derandomized, so that every run draws the same examples
@@ -151,6 +155,51 @@ def test_single_direction_root_matches_bisection(instance):
     L = Q + alpha * DPD
     S = L - eta_ref * cross - eta_ref ** 2 * DPD
     assert eta >= _tolerance_floor(eta_ref, L, S, eta_ref) * (1 - 1e-8)
+
+
+#: frontiers of monotone threshold predicates y <= t: infeasible at 0, at
+#: 0, subnormal, interior, and at or above the cap
+THRESHOLDS = st.one_of(
+    st.sampled_from([-1.0, 0.0, BRACKET_CAP, 2.0 * BRACKET_CAP, math.inf]),
+    st.floats(5e-324, np.finfo(float).tiny, exclude_max=True),
+    st.floats(0.0, BRACKET_CAP, exclude_min=True, exclude_max=True),
+)
+
+
+@PROPERTY
+@given(THRESHOLDS, st.sampled_from([0.0, 1e-6, 0.25]))
+def test_bisection_reads_the_sequential_probes(threshold, rel_tol):
+    # each verdict records when the walk reads it, and every point the
+    # one-at-a-time oracle never probes answers with an exception, which
+    # the walk raises only if it reads it
+    probes = []
+
+    def scalar(y):
+        probes.append(y)
+        return y <= threshold
+
+    want_y, want_cap, want_witness = sequential_bisect(scalar, rel_tol)
+    read, verdicts = [], {}
+
+    class Verdict:
+        def __init__(self, y):
+            self.y = y
+
+        def __bool__(self):
+            read.append(self.y)
+            return self.y <= threshold
+
+    def feasible(ys):
+        for y in ys:
+            verdicts[y] = (Verdict(y) if y in probes else
+                           AssertionError(f"read the unprobed point {y!r}"))
+        return [verdicts[y] for y in ys]
+
+    y, cap_hit, witness = bisect_max_feasible(feasible,
+                                              BisectOptions(rel_tol))
+    assert (y, cap_hit) == (want_y, want_cap)
+    assert read == probes
+    assert witness is (verdicts[y] if want_witness else None)
 
 
 @st.composite
