@@ -42,8 +42,6 @@ from .margins import (
     shared_lyapunov_margins,
 )
 from .matops import (
-    PsdSplit,
-    gen_eig_max,
     is_psd,
     psd_split,
     spectral_radius,
@@ -57,7 +55,6 @@ from .model import (
     TrueSystem,
     UncertaintyStructure,
     closed_loop_substitution,
-    perturbed_matrix,
 )
 from .problems import Problem, inverted_pendulum, load_problem, parse_problem
 from .stability import (
@@ -81,10 +78,8 @@ __all__ = [
     # model
     "NominalSystem", "TrueSystem", "NoiseModel", "UncertaintyStructure",
     "PerturbationBox", "CostPair", "closed_loop_substitution",
-    "perturbed_matrix",
     # matops
-    "PsdSplit", "symmetrize", "spectral_radius", "psd_split", "is_psd",
-    "gen_eig_max",
+    "symmetrize", "spectral_radius", "psd_split", "is_psd",
     # stability
     "GleSolution", "moment_operator", "is_mean_square_stable", "solve_gle",
     # gare

@@ -2,9 +2,13 @@
 
 Every subcommand reads a JSON problem document (except the built-in
 benchmark reproduction) and prints either a human-readable report or a
-machine-readable JSON document. Exit codes: 0 success, 1 infeasible or
-unstabilizable instance (a domain outcome, reported in the output), 2 bad
-input, 3 numerical failure, or a solver limit reached without a verdict.
+machine-readable JSON document. ``design`` and ``reproduce-pendulum`` run
+their designs through one runner; ``verify-grid`` and ``simulate`` read a
+``--cert`` result document and close the loop through one loader. The
+solver flags are read from the option table of :mod:`multinoise.problems`.
+Exit codes: 0 success, 1 infeasible or unstabilizable instance (a domain
+outcome, reported in the output), 2 bad input, 3 numerical failure, or a
+solver limit reached without a verdict.
 """
 
 from __future__ import annotations
@@ -12,22 +16,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import numpy.linalg as la
 
 from . import __version__
 from .design import (
+    DesignDiagnostics,
     DesignOptions,
+    DesignResult,
     certainty_equivalent,
     design_algorithm_1,
     design_algorithm_2,
 )
 from .errors import (
-    DimensionError,
-    GridSizeError,
     NotMeanSquareStableError,
     NumericalError,
     ProblemFormatError,
@@ -39,7 +41,10 @@ from .margins import MarginMethod, compute_margins, conservative_margins
 from .matops import spectral_radius
 from .model import closed_loop_substitution
 from .problems import (
+    _OPTIONS,
     Problem,
+    _read_json,
+    _set_option,
     certificate_from_dict,
     certificate_to_dict,
     design_result_from_dict,
@@ -97,27 +102,29 @@ def _emit(data: dict, fmt: str) -> None:
 
 
 def _apply_overrides(problem: Problem, args) -> None:
-    # a subcommand parses only the solver flags it reads; the options
-    # classes check each value
-    for flag, group, name in (("--tol", "gare_options", "tol_rel"),
-                              ("--max-iter", "gare_options", "max_iter"),
-                              ("--blowup", "gare_options", "blowup"),
-                              ("--bisect-tol", "bisect_options", "rel_tol")):
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+    # a subcommand parses only the solver flags it reads
+    for key, (_, _, flag) in _OPTIONS.items():
+        value = flag and getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
-            try:
-                setattr(problem, group,
-                        replace(getattr(problem, group), **{name: value}))
-            except ValueError as exc:
-                raise ProblemFormatError(f"option '{flag}': {exc}") from exc
+            _set_option(problem, key, value, f"option '{flag}'")
 
 
-def _design_opts(problem: Problem, grid_samples: int = 10_000) -> DesignOptions:
-    return DesignOptions(
-        gare=problem.gare_options,
-        bisect=problem.bisect_options,
-        grid_samples_per_dir=grid_samples,
-    )
+def _run_design(problem: Problem, algo: str,
+                samples: int = 10_000) -> DesignResult:
+    """Run the design ``algo`` ("ce", "1" or "2") with the problem's solver
+    options and ``samples`` grid samples per direction for its diagnostic."""
+    costs = problem.require_costs()
+    opts = DesignOptions(gare=problem.gare_options,
+                         bisect=problem.bisect_options,
+                         grid_samples_per_dir=samples)
+    if algo == "ce":
+        return certainty_equivalent(problem.system, costs, opts,
+                                    problem.true_system)
+    structure = problem.require_structure()
+    fn = design_algorithm_1 if algo == "1" else design_algorithm_2
+    return fn(problem.system, costs, [D for D, _ in problem.noise.a_dirs],
+              [D for D, _ in problem.noise.b_dirs], structure, opts,
+              problem.true_system)
 
 
 def cmd_check_mss(args) -> int:
@@ -167,15 +174,12 @@ def cmd_margins(args) -> int:
             "uncertainty; input-matrix uncertainty needs a gain, use 'design'"
         )
     method = MarginMethod(args.method)
-    dirs = problem.noise.a_dirs
+    A, dirs = problem.system.A, problem.noise.a_dirs
+    # the conservative methods read no weights, so theta is optional
     if method in (MarginMethod.CONS_LINEARIZED, MarginMethod.CONS_SIMPLE):
-        structure = problem.structure
+        cert = conservative_margins(A, dirs, kind=method)
     else:
-        structure = problem.require_structure()
-    if structure is not None:
-        cert = compute_margins(method, problem.system.A, dirs, structure)
-    else:
-        cert = conservative_margins(problem.system.A, dirs, None, method)
+        cert = compute_margins(method, A, dirs, problem.require_structure())
     _emit(certificate_to_dict(cert), args.format)
     return EXIT_OK
 
@@ -183,49 +187,41 @@ def cmd_margins(args) -> int:
 def cmd_design(args) -> int:
     problem = load_problem(args.problem)
     _apply_overrides(problem, args)
-    costs = problem.require_costs()
-    opts = _design_opts(problem)
-    if args.algo == "ce":
-        result = certainty_equivalent(problem.system, costs, opts,
-                                      problem.true_system)
-    else:
-        structure = problem.require_structure()
-        a_mats = [D for D, _ in problem.noise.a_dirs]
-        b_mats = [D for D, _ in problem.noise.b_dirs]
-        fn = design_algorithm_1 if args.algo == "1" else design_algorithm_2
-        result = fn(problem.system, costs, a_mats, b_mats, structure, opts,
-                    problem.true_system)
-    out = design_result_to_dict(result)
+    out = design_result_to_dict(_run_design(problem, args.algo))
     out["algo"] = args.algo
     _emit(out, args.format)
     return EXIT_OK
 
 
-def _load_result_document(path):
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"certificate file, line {exc.lineno}: {exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ProblemFormatError("certificate file: expected a JSON object")
-    if "K" in data:
-        result = design_result_from_dict(data)
-        return result.K, result.certificate
-    return None, certificate_from_dict(data)
-
-
-def cmd_verify_grid(args) -> int:
-    problem = load_problem(args.problem)
-    K, cert = _load_result_document(args.cert)
-    if cert is None:
+def _closed_loop(problem: Problem, path, need_certificate: bool = False):
+    """Close the problem's loop with the gain of the result document at
+    ``path``: a design result's gain, or zero for a bare margin certificate
+    or no path. Returns the closed loop, its directions and the document's
+    certificate, which ``need_certificate`` makes required."""
+    K = cert = None
+    if path is not None:
+        data = _read_json(path, "certificate file, ")
+        if not isinstance(data, dict):
+            raise ProblemFormatError(
+                "certificate file: expected a JSON object")
+        if "K" in data:
+            result = design_result_from_dict(data)
+            K, cert = result.K, result.certificate
+        else:
+            cert = certificate_from_dict(data)
+    if need_certificate and cert is None:
         raise ProblemFormatError(
             "certificate file: design result carries no margin certificate"
         )
     if K is None:
         K = np.zeros((problem.system.m, problem.system.n))
     A_cl, dirs = closed_loop_substitution(problem.system, problem.noise, K)
+    return A_cl, dirs, cert
+
+
+def cmd_verify_grid(args) -> int:
+    problem = load_problem(args.problem)
+    A_cl, dirs, cert = _closed_loop(problem, args.cert, need_certificate=True)
     report = grid_verify(A_cl, dirs, cert.box, args.samples)
     _emit({
         "samples": report.samples,
@@ -239,12 +235,8 @@ def cmd_verify_grid(args) -> int:
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
-    K = None
-    if args.cert:
-        K, _ = _load_result_document(args.cert)
-    if K is None:
-        K = np.zeros((problem.system.m, problem.system.n))
-    A_cl, dirs = closed_loop_substitution(problem.system, problem.noise, K)
+    # an empty --cert reads as none
+    A_cl, dirs, _ = _closed_loop(problem, args.cert or None)
     cfg = MonteCarloConfig(horizon=args.horizon, trials=args.trials,
                            seed=args.seed, noise_law=args.law)
     hist = simulate_second_moment(A_cl, dirs, cfg, np.eye(problem.system.n))
@@ -266,27 +258,20 @@ def cmd_simulate(args) -> int:
 
 def _pendulum_report(samples: int) -> dict:
     problem = inverted_pendulum()
-    sys_, costs = problem.system, problem.require_costs()
-    true_sys = problem.true_system
-    opts = _design_opts(problem, grid_samples=samples)
-    structure = problem.require_structure()
-    a_mats = [D for D, _ in problem.noise.a_dirs]
+    sys_, true_sys = problem.system, problem.true_system
+    K = np.zeros((sys_.m, sys_.n))
+    open_loop = DesignResult(
+        K=K, certificate=None, y_star=0.0, z_star=None,
+        diagnostics=DesignDiagnostics(
+            rho_closed_loop=spectral_radius(sys_.A),
+            rho_true_closed_loop=spectral_radius(
+                true_sys.A_bar + true_sys.B_bar @ K)))
 
-    def column(result=None):
-        if result is None:  # open loop
-            K = np.zeros((sys_.m, sys_.n))
-            return {
-                "K": K.tolist(),
-                "rho_true_closed_loop":
-                    spectral_radius(true_sys.A_bar + true_sys.B_bar @ K),
-                "rho_closed_loop": spectral_radius(sys_.A),
-                "eta_1": None,
-                "worst_box_rho": None,
-            }
-        d = result.diagnostics
+    def column(result: DesignResult) -> dict:
+        d, cert = result.diagnostics, result.certificate
         eta1 = None
-        if result.certificate is not None and result.certificate.box.eta.size:
-            eta1 = float(result.certificate.box.eta[0])
+        if cert is not None and cert.box.eta.size:
+            eta1 = float(cert.box.eta[0])
         return {
             "K": result.K.tolist(),
             "rho_true_closed_loop": d.rho_true_closed_loop,
@@ -295,17 +280,12 @@ def _pendulum_report(samples: int) -> dict:
             "worst_box_rho": d.worst_box_rho,
         }
 
-    ce = certainty_equivalent(sys_, costs, opts, true_sys)
-    a1 = design_algorithm_1(sys_, costs, a_mats, [], structure, opts, true_sys)
-    a2 = design_algorithm_2(sys_, costs, a_mats, [], structure, opts, true_sys)
-    return {
-        "instance": "inverted-pendulum",
-        "grid_samples": samples,
-        "open_loop": column(),
-        "certainty_equivalent": column(ce),
-        "algorithm_1": column(a1),
-        "algorithm_2": column(a2),
-    }
+    report = {"instance": "inverted-pendulum", "grid_samples": samples,
+              "open_loop": column(open_loop)}
+    for key, algo in (("certainty_equivalent", "ce"), ("algorithm_1", "1"),
+                      ("algorithm_2", "2")):
+        report[key] = column(_run_design(problem, algo, samples))
+    return report
 
 
 def _pendulum_table(report: dict) -> str:
@@ -434,17 +414,13 @@ def main(argv=None) -> int:
     except (NotMeanSquareStableError, UnstabilizableError) as exc:
         _emit({"status": "infeasible", "detail": str(exc)}, args.format)
         return EXIT_INFEASIBLE
-    except (ProblemFormatError, GridSizeError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:  # missing, unreadable, or a directory
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     # before ValueError, which LinAlgError subclasses
     except (NumericalError, SingularPencilError, la.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    # bad input: a file missing, unreadable or a directory (OSError), or a
+    # malformed problem, document, option or grid (ValueError)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -26,7 +26,8 @@ import numpy as np
 import numpy.linalg as la
 
 from .errors import DimensionError, NotMeanSquareStableError
-from .matops import abs_part, gen_eig_max, is_psd, pos_part, symmetrize
+from .matops import (_gen_eig_max, abs_part, is_psd, pos_part,
+                     spectral_radius, symmetrize)
 from .model import (DirList, PerturbationBox, UncertaintyStructure,
                     _check_options)
 from .stability import _mss_holds, _svec_lift, solve_gle
@@ -490,7 +491,7 @@ def conservative_margin_linearized(
     cross_plus = pos_part(A_cl.T @ P @ A_i + A_i.T @ P @ A_cl)
     lhs = cross_plus - Q_eff / math.sqrt(alpha_i)
     rhs = Q_eff / alpha_i + 2.0 * (A_i.T @ P @ A_i)
-    lam = gen_eig_max(lhs, rhs)
+    lam = _gen_eig_max(lhs, rhs)
     return max(lam, 0.0)
 
 
@@ -505,7 +506,7 @@ def conservative_margin_simple(A_cl, A_i, P, Q_eff, alpha_i: float) -> float:
     if alpha_i < 0:
         raise ValueError("alpha_i must be nonnegative")
     cross_plus = pos_part(A_cl.T @ P @ A_i + A_i.T @ P @ A_cl)
-    lam = gen_eig_max(cross_plus, Q_eff)
+    lam = _gen_eig_max(cross_plus, Q_eff)
     if lam <= 1e-14:
         return 0.0
     return max(0.5 * (alpha_i * lam - 1.0 / lam), 0.0)
@@ -634,8 +635,9 @@ def aux_system_margins(
     stability of that system certifies |mu_k| < eta_k. Its moment operator
     T(y) = (1 + y)(M0 + y M1), M0 the lift of A_cl and M1 the weighted lift
     of the directions, is a positive map growing in y, so I - T(y) first
-    turns singular at the edge of the pencil (I - M0, M0 + M1, M1). An
-    unstable plant gets a zero-margin certificate.
+    turns singular at the edge of the pencil (I - M0, M0 + M1, M1). A
+    nominal loop that is not Schur stable certifies no box and raises
+    :class:`NotMeanSquareStableError`, as the other methods do.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     if len(dirs) != structure.p + structure.q:
@@ -648,10 +650,10 @@ def aux_system_margins(
         return _mss_holds(z * A_cl, list(zip(mats, var)))
 
     if not holds(0.0):
-        return MarginCertificate(
-            box=_split_box(np.zeros(len(dirs)), structure.p, True),
-            method=MarginMethod.AUX_SCALED,
-            y_star=0.0,
+        # at y = 0 the auxiliary system is the nominal loop itself
+        raise NotMeanSquareStableError(
+            f"nominal loop is not stable "
+            f"(spectral radius {spectral_radius(A_cl):.6g})"
         )
     M0 = _svec_lift(A_cl, [])
     M1 = sum(wk * _svec_lift(D, []) for D, wk in zip(mats, w) if wk)

@@ -22,7 +22,6 @@ __all__ = [
     "pos_part",
     "abs_part",
     "is_psd",
-    "gen_eig_max",
 ]
 
 
@@ -96,7 +95,7 @@ def is_psd(S, tol: float | None = None) -> bool:
     return bool(w[0] >= -tol)
 
 
-def gen_eig_max(lhs, rhs) -> float:
+def _gen_eig_max(lhs, rhs) -> float:
     """Maximum generalized eigenvalue ``lam`` of ``lhs v = lam rhs v`` for a
     symmetric pair with ``rhs`` positive definite.
 

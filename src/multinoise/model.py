@@ -29,7 +29,6 @@ __all__ = [
     "PerturbationBox",
     "CostPair",
     "closed_loop_substitution",
-    "perturbed_matrix",
 ]
 
 #: A noise or perturbation direction together with its variance.
@@ -306,18 +305,3 @@ def _closed_loop_stack(A_cl, dirs: DirList) -> np.ndarray:
             )
         mats.append(D)
     return np.stack(mats)
-
-
-def perturbed_matrix(A_cl, dirs: DirList, mu) -> np.ndarray:
-    """Closed-loop matrix shifted by constant perturbation coefficients:
-    ``A_cl + sum_k mu_k * D_k``."""
-    A_cl = np.asarray(A_cl, dtype=float)
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.size != len(dirs):
-        raise DimensionError(
-            f"got {mu.size} coefficients for {len(dirs)} directions"
-        )
-    M = A_cl.copy()
-    for c, (D, _) in zip(mu, dirs):
-        M += c * D
-    return M

@@ -4,10 +4,14 @@ A problem is a single JSON document with matrices as row-major nested
 arrays. Field names follow the conventional symbols: A, B (nominal plant),
 A_bar, B_bar (true plant, optional), A_dirs/alpha and B_dirs/beta (noise
 directions and variances), theta/phi (relative uncertainty magnitudes),
-Q/R (costs) and an optional "options" block with solver overrides.
+Q/R (costs) and an optional "options" block with solver overrides. One
+table holds each option's key, the field it sets and its command-line
+flag, and one setter applies the block's values and the flags alike.
 
-Parse failures raise :class:`ProblemFormatError` naming the offending
-field.
+Problem files and the result documents that ``verify-grid`` and
+``simulate`` read back go through one JSON reader. Parse failures raise
+:class:`ProblemFormatError` naming the offending field, a missing one as
+``field 'eta': missing``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ __all__ = [
     "Problem",
     "parse_problem",
     "load_problem",
-    "problem_to_dict",
     "inverted_pendulum",
     "certificate_to_dict",
     "certificate_from_dict",
@@ -99,12 +102,17 @@ def _numeric(value, name: str, scalar: bool = False,
     return float(M)
 
 
-def _matrix(data: dict, name: str, required: bool = True) -> np.ndarray | None:
+def _required(data: dict, name: str):
+    """The value of the field ``name``, which must be present."""
     if name not in data:
-        if required:
-            raise ProblemFormatError(f"field '{name}': missing")
+        raise ProblemFormatError(f"field '{name}': missing")
+    return data[name]
+
+
+def _matrix(data: dict, name: str, required: bool = True) -> np.ndarray | None:
+    if not required and name not in data:
         return None
-    M = _numeric(data[name], name)
+    M = _numeric(_required(data, name), name)
     if M.ndim == 0:
         M = M.reshape(1, 1)
     if M.ndim == 1:
@@ -151,14 +159,15 @@ def _dir_list(data: dict, name: str, var_name: str, shape: tuple) -> list:
     return [(M, float(v)) for M, v in zip(out, variances)]
 
 
-#: each key of the "options" block, with the options attribute of
-#: :class:`Problem` and the field it sets
-_OPTION_FIELDS = {
-    "tol_abs": ("gare_options", "tol_abs"),
-    "tol_rel": ("gare_options", "tol_rel"),
-    "blowup": ("gare_options", "blowup"),
-    "max_iter": ("gare_options", "max_iter"),
-    "bisect_rel_tol": ("bisect_options", "rel_tol"),
+#: each key of the "options" block: the options attribute of
+#: :class:`Problem` and the field it sets, and the command-line flag that
+#: overrides it, or None for a key the command line does not set
+_OPTIONS = {
+    "tol_abs": ("gare_options", "tol_abs", None),
+    "tol_rel": ("gare_options", "tol_rel", "--tol"),
+    "blowup": ("gare_options", "blowup", "--blowup"),
+    "max_iter": ("gare_options", "max_iter", "--max-iter"),
+    "bisect_rel_tol": ("bisect_options", "rel_tol", "--bisect-tol"),
 }
 
 
@@ -171,37 +180,49 @@ def _option_value(value, key: str) -> float | int:
     return x
 
 
+def _named(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ``ValueError`` it raises named by
+    ``where``: a model constructor's by the fields it read, an options
+    update's by the key or flag that set it."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ProblemFormatError(f"{where}: {exc}") from exc
+
+
+def _set_option(problem: Problem, key: str, value, where: str) -> None:
+    """Set the solver option ``key`` of ``problem``; the options classes
+    check the value, and a bad one is named by ``where``."""
+    group, name, _ = _OPTIONS[key]
+    setattr(problem, group,
+            _named(where, replace, getattr(problem, group), **{name: value}))
+
+
+def _optional_pair(data: dict, build, a: str, b: str):
+    """``build`` from the matrix fields ``a`` and ``b``, both or neither of
+    which must be given; None for neither."""
+    x, y = _matrix(data, a, required=False), _matrix(data, b, required=False)
+    if (x is None) != (y is None):
+        raise ProblemFormatError(
+            f"field '{a}'/'{b}': both or neither must be given")
+    if x is None:
+        return None
+    return _named(f"field '{a}'/'{b}'", build, **{a: x, b: y})
+
+
 def parse_problem(data: dict) -> Problem:
     """Build a :class:`Problem` from a parsed JSON document."""
     if not isinstance(data, dict):
         raise ProblemFormatError("top level: expected a JSON object")
-    A = _matrix(data, "A")
-    B = _matrix(data, "B")
-    try:
-        system = NominalSystem(A=A, B=B)
-    except ValueError as exc:
-        raise ProblemFormatError(f"field 'A'/'B': {exc}") from exc
-
-    true_system = None
-    A_bar = _matrix(data, "A_bar", required=False)
-    B_bar = _matrix(data, "B_bar", required=False)
-    if (A_bar is None) != (B_bar is None):
-        raise ProblemFormatError(
-            "field 'A_bar'/'B_bar': both or neither must be given"
-        )
-    if A_bar is not None:
-        try:
-            true_system = TrueSystem(A_bar=A_bar, B_bar=B_bar)
-        except ValueError as exc:
-            raise ProblemFormatError(f"field 'A_bar'/'B_bar': {exc}") from exc
+    system = _named("field 'A'/'B'", NominalSystem,
+                    A=_matrix(data, "A"), B=_matrix(data, "B"))
+    true_system = _optional_pair(data, TrueSystem, "A_bar", "B_bar")
 
     n, m = system.n, system.m
-    a_dirs = _dir_list(data, "A_dirs", "alpha", (n, n))
-    b_dirs = _dir_list(data, "B_dirs", "beta", (n, m))
-    try:
-        noise = NoiseModel(a_dirs=a_dirs, b_dirs=b_dirs)
-    except ValueError as exc:  # more state directions than entries of A
-        raise ProblemFormatError(f"field 'A_dirs': {exc}") from exc
+    # more state directions than entries of A is the constructor's error
+    noise = _named("field 'A_dirs'", NoiseModel,
+                   a_dirs=_dir_list(data, "A_dirs", "alpha", (n, n)),
+                   b_dirs=_dir_list(data, "B_dirs", "beta", (n, m)))
 
     structure = None
     theta = _vector(data, "theta", noise.p if noise.p else None)
@@ -209,91 +230,45 @@ def parse_problem(data: dict) -> Problem:
     if theta is not None or phi is not None:
         if theta is None:
             raise ProblemFormatError("field 'theta': required when phi is given")
-        try:
-            structure = UncertaintyStructure(
-                theta=theta, phi=phi if phi is not None else np.zeros(noise.q)
-            )
-        except ValueError as exc:
-            raise ProblemFormatError(f"field 'theta'/'phi': {exc}") from exc
+        structure = _named(
+            "field 'theta'/'phi'", UncertaintyStructure, theta=theta,
+            phi=phi if phi is not None else np.zeros(noise.q))
         if structure.p != noise.p or structure.q != noise.q:
             raise ProblemFormatError(
                 "field 'theta'/'phi': lengths must match A_dirs/B_dirs"
             )
 
-    costs = None
-    Q = _matrix(data, "Q", required=False)
-    R = _matrix(data, "R", required=False)
-    if (Q is None) != (R is None):
-        raise ProblemFormatError("field 'Q'/'R': both or neither must be given")
-    if Q is not None:
-        try:
-            costs = CostPair(Q=Q, R=R)
-        except ValueError as exc:
-            raise ProblemFormatError(f"field 'Q'/'R': {exc}") from exc
-
+    problem = Problem(system=system, noise=noise, true_system=true_system,
+                      structure=structure,
+                      costs=_optional_pair(data, CostPair, "Q", "R"))
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ProblemFormatError("field 'options': expected an object")
     for key in opts:
-        if key not in _OPTION_FIELDS:
+        if key not in _OPTIONS:
             raise ProblemFormatError(f"field 'options.{key}': unknown option")
-    options = {"gare_options": GareOptions(), "bisect_options": BisectOptions()}
-    for key, (group, name) in _OPTION_FIELDS.items():
+    for key in _OPTIONS:
         if key in opts:
-            value = _option_value(opts[key], key)
-            try:
-                options[group] = replace(options[group], **{name: value})
-            except ValueError as exc:
-                raise ProblemFormatError(
-                    f"field 'options.{key}': {exc}") from exc
+            _set_option(problem, key, _option_value(opts[key], key),
+                        f"field 'options.{key}'")
+    return problem
 
-    return Problem(
-        system=system,
-        noise=noise,
-        true_system=true_system,
-        structure=structure,
-        costs=costs,
-        **options,
-    )
+
+def _read_json(path, prefix: str = ""):
+    """The JSON value of the file at ``path``; a syntax error is reported
+    at its line and column, after ``prefix``."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(
+            f"{prefix}line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
 
 
 def load_problem(path) -> Problem:
     """Read and parse a problem file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return parse_problem(data)
-
-
-def problem_to_dict(problem: Problem) -> dict:
-    """Serialize a problem back into the document schema."""
-    data: dict = {
-        "A": problem.system.A.tolist(),
-        "B": problem.system.B.tolist(),
-    }
-    if problem.true_system is not None:
-        data["A_bar"] = problem.true_system.A_bar.tolist()
-        data["B_bar"] = problem.true_system.B_bar.tolist()
-    if problem.noise.p:
-        data["A_dirs"] = [D.tolist() for D, _ in problem.noise.a_dirs]
-        data["alpha"] = [v for _, v in problem.noise.a_dirs]
-    if problem.noise.q:
-        data["B_dirs"] = [D.tolist() for D, _ in problem.noise.b_dirs]
-        data["beta"] = [v for _, v in problem.noise.b_dirs]
-    if problem.structure is not None:
-        data["theta"] = problem.structure.theta.tolist()
-        if problem.structure.q:
-            data["phi"] = problem.structure.phi.tolist()
-    if problem.costs is not None:
-        data["Q"] = problem.costs.Q.tolist()
-        data["R"] = problem.costs.R.tolist()
-    data["options"] = {key: getattr(getattr(problem, group), name)
-                       for key, (group, name) in _OPTION_FIELDS.items()}
-    return data
+    return parse_problem(_read_json(path))
 
 
 def inverted_pendulum() -> Problem:
@@ -331,7 +306,8 @@ def _opt_matrix_to_list(M: np.ndarray | None):
 def _json_bool(data: dict, name: str, default: bool | None = None) -> bool:
     """A JSON true or false, or ``default`` if given and the field is absent;
     ``bool("false")`` would be True."""
-    value = data[name] if default is None else data.get(name, default)
+    value = (_required(data, name) if default is None
+             else data.get(name, default))
     if not isinstance(value, bool):
         raise ProblemFormatError(
             f"field '{name}': expected true or false, got {value!r}")
@@ -353,22 +329,26 @@ def certificate_to_dict(cert: MarginCertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> MarginCertificate:
+    if not isinstance(data, dict):
+        raise ProblemFormatError(
+            "certificate document: expected a JSON object")
     try:
         box = PerturbationBox(
-            eta=_numeric(data["eta"], "eta"),
-            psi=_numeric(data["psi"], "psi"),
+            eta=_numeric(_required(data, "eta"), "eta"),
+            psi=_numeric(_required(data, "psi"), "psi"),
             bidirectional=_json_bool(data, "bidirectional"),
         )
         return MarginCertificate(
             box=box,
-            method=MarginMethod(data["method"]),
-            y_star=_numeric(data["y_star"], "y_star", scalar=True),
+            method=MarginMethod(_required(data, "method")),
+            y_star=_numeric(_required(data, "y_star"), "y_star",
+                            scalar=True),
             P=_numeric(data.get("P"), "P", optional=True),
             q_matrix=_numeric(data.get("q_matrix"), "q_matrix", optional=True),
             zeta=_numeric(data.get("zeta"), "zeta", optional=True),
             cap_hit=_json_bool(data, "cap_hit", False),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"certificate document: {exc}") from exc
 
 
@@ -401,14 +381,15 @@ def design_result_from_dict(data: dict) -> DesignResult:
                  for key in ("rho_closed_loop", "worst_box_rho",
                              "rho_true_closed_loop")}
         return DesignResult(
-            K=_numeric(data["K"], "K"),
+            K=_numeric(_required(data, "K"), "K"),
             certificate=None if data.get("certificate") is None
             else certificate_from_dict(data["certificate"]),
-            y_star=_numeric(data["y_star"], "y_star", scalar=True),
+            y_star=_numeric(_required(data, "y_star"), "y_star",
+                            scalar=True),
             z_star=_numeric(data.get("z_star"), "z_star", scalar=True,
                             optional=True),
             diagnostics=DesignDiagnostics(**radii),
             cap_hit=_json_bool(data, "cap_hit", False),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"design document: {exc}") from exc

@@ -7,6 +7,7 @@ import pytest
 from multinoise import (
     BisectOptions,
     DesignOptions,
+    DimensionError,
     GareOptions,
     GareSolution,
     NumericalError,
@@ -22,6 +23,7 @@ from multinoise import (
 from multinoise.gare import _lifted_step_operators, _schur_layout
 from multinoise.margins import BRACKET_CAP, bisect_max_feasible
 from multinoise.matops import abs_part, pos_part
+from multinoise.problems import _OPTIONS
 from multinoise.stability import _svec_maps, _unsvec
 from multinoise.verify import _grid_axes, _psd_sqrt
 
@@ -41,6 +43,48 @@ def vec(X):
 def unvec(v, n):
     """Inverse of :func:`vec` for an n x n matrix."""
     return np.asarray(v, dtype=float).reshape((n, n), order="F")
+
+
+def perturbed_matrix(A_cl, dirs, mu):
+    """Closed-loop matrix shifted by constant perturbation coefficients:
+    ``A_cl + sum_k mu_k * D_k``."""
+    A_cl = np.asarray(A_cl, dtype=float)
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if mu.size != len(dirs):
+        raise DimensionError(
+            f"got {mu.size} coefficients for {len(dirs)} directions"
+        )
+    M = A_cl.copy()
+    for c, (D, _) in zip(mu, dirs):
+        M += c * D
+    return M
+
+
+def problem_to_dict(problem):
+    """Serialize a problem back into the document schema."""
+    data = {
+        "A": problem.system.A.tolist(),
+        "B": problem.system.B.tolist(),
+    }
+    if problem.true_system is not None:
+        data["A_bar"] = problem.true_system.A_bar.tolist()
+        data["B_bar"] = problem.true_system.B_bar.tolist()
+    if problem.noise.p:
+        data["A_dirs"] = [D.tolist() for D, _ in problem.noise.a_dirs]
+        data["alpha"] = [v for _, v in problem.noise.a_dirs]
+    if problem.noise.q:
+        data["B_dirs"] = [D.tolist() for D, _ in problem.noise.b_dirs]
+        data["beta"] = [v for _, v in problem.noise.b_dirs]
+    if problem.structure is not None:
+        data["theta"] = problem.structure.theta.tolist()
+        if problem.structure.q:
+            data["phi"] = problem.structure.phi.tolist()
+    if problem.costs is not None:
+        data["Q"] = problem.costs.Q.tolist()
+        data["R"] = problem.costs.R.tolist()
+    data["options"] = {key: getattr(getattr(problem, group), name)
+                       for key, (group, name, _) in _OPTIONS.items()}
+    return data
 
 
 def random_mss_instance(rng, n, p, target_radius):

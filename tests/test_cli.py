@@ -7,9 +7,16 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
-from multinoise import NumericalError
+from multinoise import (
+    MonteCarloConfig,
+    NumericalError,
+    closed_loop_substitution,
+    simulate_second_moment,
+)
 from multinoise.cli import _pendulum_table, main
-from multinoise.problems import inverted_pendulum, problem_to_dict
+from multinoise.problems import inverted_pendulum, load_problem
+
+from conftest import problem_to_dict
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -134,9 +141,10 @@ def test_margins_conservative_without_theta(tmp_path, capsys):
 
 def test_margins_not_mss_exit_one(tmp_path, capsys):
     path = write_problem(tmp_path, pendulum_doc())
-    code, out = run_json(capsys, ["margins", path, "--method", "shared-uni"])
-    assert code == 1
-    assert out["status"] == "infeasible"
+    for method in ("shared-uni", "aux"):
+        code, out = run_json(capsys, ["margins", path, "--method", method])
+        assert code == 1
+        assert out["status"] == "infeasible"
 
 
 def test_margins_rejects_input_uncertainty(tmp_path, capsys):
@@ -238,6 +246,63 @@ def test_verify_grid_reads_only_json_numbers(tmp_path, capsys, doc, field):
     assert main(["verify-grid", path, "--cert", str(cert_path),
                  "--samples", "50"]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+def write_result(tmp_path, capsys, argv, name):
+    """Run a JSON command and store its document as a result file."""
+    code, out = run_json(capsys, argv)
+    assert code == 0
+    path = tmp_path / name
+    path.write_text(json.dumps(out))
+    return str(path), out
+
+
+def test_verify_grid_rejects_a_result_without_certificate(tmp_path, capsys):
+    path = write_problem(tmp_path, pendulum_doc())
+    cert, _ = write_result(tmp_path, capsys, ["design", path, "--algo", "ce"],
+                           "ce.json")
+    assert main(["verify-grid", path, "--cert", cert]) == 2
+    assert "carries no margin certificate" in capsys.readouterr().err
+
+
+def test_simulate_with_a_bare_certificate_runs_the_open_loop(tmp_path,
+                                                             capsys):
+    path = write_problem(tmp_path, stable_doc())
+    cert, _ = write_result(tmp_path, capsys,
+                           ["margins", path, "--method", "aux"], "aux.json")
+    argv = ["simulate", path, "--trials", "50", "--seed", "5",
+            "--horizon", "8"]
+    assert main(argv) == 0
+    without = capsys.readouterr()
+    assert main(argv + ["--cert", cert]) == 0
+    assert capsys.readouterr() == without
+
+
+def test_simulate_with_a_design_result_runs_its_gain(tmp_path, capsys):
+    path = write_problem(tmp_path, stable_doc())
+    cert, result = write_result(tmp_path, capsys,
+                                ["design", path, "--algo", "1"], "a1.json")
+    code, out = run_json(capsys, ["simulate", path, "--trials", "50",
+                                  "--seed", "5", "--horizon", "8",
+                                  "--law", "rademacher", "--cert", cert])
+    assert code == 0
+    problem = load_problem(path)
+    A_cl, dirs = closed_loop_substitution(problem.system, problem.noise,
+                                          np.array(result["K"]))
+    hist = simulate_second_moment(
+        A_cl, dirs, MonteCarloConfig(horizon=8, trials=50, seed=5,
+                                     noise_law="rademacher"), np.eye(2))
+    assert out["final_empirical"] == hist.empirical[-1].tolist()
+    assert out["final_exact"] == hist.exact[-1].tolist()
+    assert out["empirical_norm"] == [float(la.norm(S, "fro"))
+                                     for S in hist.empirical]
+
+
+def test_result_document_names_a_missing_field(tmp_path, capsys):
+    path = write_problem(tmp_path, pendulum_doc())
+    assert main(["verify-grid", path, "--cert", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: certificate document: field 'eta': missing\n")
 
 
 def test_design_algo2_emits_bidirectional_box(tmp_path, capsys):

@@ -27,7 +27,7 @@ from multinoise.gare import feasible_gare_solution
 from multinoise.margins import _aux_scaling
 from multinoise.stability import _mss_holds
 
-from conftest import direct_margin_matrix
+from conftest import direct_margin_matrix, perturbed_matrix
 
 
 
@@ -140,7 +140,7 @@ def test_closed_loops_stable_on_grid(pendulum, pendulum_alg1, pendulum_alg2):
 
 def test_algorithm_2_certificate_covers_sign_corners(pendulum, pendulum_alg2):
     # the stored quadratic form certifies every sign corner of the box
-    from multinoise import is_psd, perturbed_matrix
+    from multinoise import is_psd
 
     cert = pendulum_alg2.certificate
     noise = pendulum.noise.with_variances([0.0], [])

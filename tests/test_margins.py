@@ -21,7 +21,6 @@ from multinoise import (
     single_direction_margin,
     is_psd,
     nlmi_feasible,
-    perturbed_matrix,
     scalar_exact_margins,
     scalar_margin,
     shared_lyapunov_margins,
@@ -41,6 +40,7 @@ from conftest import (
     bisect_min_feasible,
     direct_margin_matrix,
     nlmi_bracket,
+    perturbed_matrix,
     random_mss_instance,
 )
 
@@ -394,10 +394,10 @@ def test_aux_margins_certify_all_sign_corners():
             assert is_psd(cert.P - M.T @ cert.P @ M)
 
 
-def test_aux_margins_unstable_plant_zero_certificate():
-    cert = aux_system_margins(1.5 * ONE, [(ONE, 0.2)], single_structure())
-    assert cert.y_star == 0.0 and cert.P is None
-    np.testing.assert_array_equal(cert.box.eta, [0.0])
+def test_aux_margins_unstable_plant_raises():
+    # an unstable nominal loop certifies no box, as for the other methods
+    with pytest.raises(NotMeanSquareStableError, match="spectral radius 1.5"):
+        aux_system_margins(1.5 * ONE, [(ONE, 0.2)], single_structure())
 
 
 def test_aux_margins_collapse_near_instability():

@@ -6,12 +6,12 @@ import scipy.linalg
 from multinoise import (
     DimensionError,
     SingularPencilError,
-    gen_eig_max,
     is_psd,
     psd_split,
     spectral_radius,
     symmetrize,
 )
+from multinoise.matops import _gen_eig_max as gen_eig_max
 
 from conftest import vec
 

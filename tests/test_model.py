@@ -16,8 +16,9 @@ from multinoise import (
     TrueSystem,
     UncertaintyStructure,
     closed_loop_substitution,
-    perturbed_matrix,
 )
+
+from conftest import perturbed_matrix
 
 
 def pendulum_pair():

@@ -14,8 +14,9 @@ from multinoise.problems import (
     inverted_pendulum,
     load_problem,
     parse_problem,
-    problem_to_dict,
 )
+
+from conftest import problem_to_dict
 
 
 def minimal_doc():
@@ -191,6 +192,23 @@ def certificate_doc():
 def design_doc(cert):
     return {"K": [[-1.0, -1.0]], "y_star": 1.0, "certificate": cert,
             "diagnostics": {"rho_closed_loop": 0.5}}
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("certificate", "method"), ("certificate", "y_star"),
+    ("certificate", "eta"), ("certificate", "psi"),
+    ("certificate", "bidirectional"), ("design", "K"), ("design", "y_star"),
+])
+def test_result_documents_name_a_missing_field(kind, name):
+    # named as problem files name theirs, not by the bare key
+    doc = certificate_doc() if kind == "certificate" else design_doc(
+        certificate_doc())
+    del doc[name]
+    parse = (certificate_from_dict if kind == "certificate"
+             else design_result_from_dict)
+    with pytest.raises(ProblemFormatError) as info:
+        parse(doc)
+    assert str(info.value) == f"{kind} document: field '{name}': missing"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
