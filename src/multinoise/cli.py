@@ -43,6 +43,7 @@ from .model import closed_loop_substitution
 from .problems import (
     _OPTIONS,
     Problem,
+    _named,
     _read_json,
     _set_option,
     certificate_from_dict,
@@ -114,9 +115,9 @@ def _run_design(problem: Problem, algo: str,
     """Run the design ``algo`` ("ce", "1" or "2") with the problem's solver
     options and ``samples`` grid samples per direction for its diagnostic."""
     costs = problem.require_costs()
-    opts = DesignOptions(gare=problem.gare_options,
-                         bisect=problem.bisect_options,
-                         grid_samples_per_dir=samples)
+    opts = _named("option '--samples'", DesignOptions,
+                  gare=problem.gare_options, bisect=problem.bisect_options,
+                  grid_samples_per_dir=samples)
     if algo == "ce":
         return certainty_equivalent(problem.system, costs, opts,
                                     problem.true_system)
@@ -199,6 +200,8 @@ def _closed_loop(problem: Problem, path, need_certificate: bool = False):
     or no path. Returns the closed loop, its directions and the document's
     certificate, which ``need_certificate`` makes required."""
     K = cert = None
+    if path == "":
+        raise ProblemFormatError("option '--cert': empty path")
     if path is not None:
         data = _read_json(path, "certificate file, ")
         if not isinstance(data, dict):
@@ -235,8 +238,7 @@ def cmd_verify_grid(args) -> int:
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
-    # an empty --cert reads as none
-    A_cl, dirs, _ = _closed_loop(problem, args.cert or None)
+    A_cl, dirs, _ = _closed_loop(problem, args.cert)
     cfg = MonteCarloConfig(horizon=args.horizon, trials=args.trials,
                            seed=args.seed, noise_law=args.law)
     hist = simulate_second_moment(A_cl, dirs, cfg, np.eye(problem.system.n))

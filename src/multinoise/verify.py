@@ -35,15 +35,17 @@ MAX_GRID_POINTS = 10_000_000
 #: Shrink factor keeping grid points strictly inside the open box.
 _INTERIOR = 1.0 - 1e-9
 
-#: The grid sweep builds the closed loops of _CHUNK points per product, as
-#: a full sweep does; bounds and solves them in blocks of _BLOCK_ENTRIES
-#: matrix entries, taking each block's largest bound as a seed; squares
-#: _SQUARINGS times in the radius bound (rho(M) <= ||M^64||^(1/64)); and
-#: rules a point out when its bound is below the seed radius less the
-#: relative _SLACK.
+#: The grid sweep takes its seed radius from eigensolves on a coarse
+#: sub-grid of about _SEED_POINTS points, the box's vertices among them;
+#: builds the closed loops of _CHUNK points per product, as a full sweep
+#: does; bounds and solves them in blocks of _BLOCK_ENTRIES matrix entries,
+#: squaring up to _SQUARINGS times in the radius bound (rho(M) <=
+#: ||M^256||^(1/256)); and rules a point out at the first level whose bound
+#: is below the seed radius less the relative _SLACK.
+_SEED_POINTS = 16
 _CHUNK = 65536
 _BLOCK_ENTRIES = 32768
-_SQUARINGS = 6
+_SQUARINGS = 8
 _SLACK = 1e-6
 
 #: Monte Carlo trials simulated per block.
@@ -111,56 +113,102 @@ def _grid_axes(box: PerturbationBox, samples_per_dir: int) -> list[np.ndarray]:
     return axes
 
 
-def _radius_bounds(mats: np.ndarray) -> np.ndarray:
-    """Upper bounds on the spectral radii of a stack of n x n matrices, from
-    Gelfand's bound rho(M) = s rho(N) <= s ||N^m||_F^(1/m), where N = M/s,
-    s = ||M||_F as computed, and m = 2^_SQUARINGS.
+def _sub_grid(shape: tuple[int, ...]) -> np.ndarray:
+    """Sorted flat indices of a coarse sub-grid of a grid of this shape,
+    of about _SEED_POINTS points: evenly spaced indices, both ends among
+    them, on each of the first log2(_SEED_POINTS) axes, and the far end
+    alone on any further axis. On a box of up to that many directions it
+    holds every vertex, and it stays small however many there are."""
+    spread = min(len(shape), int(math.log2(_SEED_POINTS)))
+    per_axis = max(2, round(_SEED_POINTS ** (1 / spread)))
+    picks = [np.linspace(s - 1, 0, per_axis if i < spread else 1)
+             for i, s in enumerate(shape)]
+    mesh = np.meshgrid(*(np.unique(ix.round().astype(int)) for ix in picks),
+                       indexing="ij")
+    return np.ravel_multi_index(mesh, shape).ravel()
 
-    N has norm about 1, so its powers cannot overflow. They are formed by
-    squarings X_j+1 = fl(X_j X_j) from X_0 = fl(M/s), and ``err`` carries a
-    bound on ||X_j - N^(2^j)||_F. A dot product of length n rounds by at
-    most gamma_n = nu/(1 - nu) times the sum of its absolute products, in
-    any order and with or without FMA, plus 2n tiny where the products
-    reach the subnormal range (flushed to zero or not). With nrm_j >=
-    ||X_j||_F and T_j = N^(2^j), so that ||T_j||_F <= nrm_j + err_j:
 
-        ||X_0 - N||_F   <= gamma_1 nrm_0 + 2n tiny
-        ||X_j+1 - T_j+1||_F = ||X_j (X_j - T_j) + (X_j - T_j) T_j + E_j||_F
-                        <= (2 nrm_j + err_j) err_j + gamma_n nrm_j^2
-                           + 2n^2 tiny.
+def _survivors(mats: np.ndarray, floor: float) -> np.ndarray:
+    """Indices, in order, of the n x n matrices in a stack whose spectral
+    radius Gelfand's bound cannot place below ``floor``, at any of the
+    levels rho(M) <= ||M^(2^j)||_F^(2^-j),
+    j = 0 .. _SQUARINGS. A matrix is dropped at the first level whose bound
+    is below its floor, and only the others are squared again.
 
-    ``nrm_j`` is the computed norm raised by its own rounding:
-    gamma_(n^2+2) relative, plus n sqrt(tiny) for squares that underflow.
-    So rho(M) <= s (nrm_k + err_k)^(1/m) for the exact radius, up to the
-    few roundings of evaluating that expression, which the caller's slack
-    covers. Cancellation in the squarings, as in non-normal or nearly
-    nilpotent blocks, is relative to ||X_j||^2 rather than to the power, so
-    no relative slack could cover it; it lands in ``err`` instead. A power
-    that underflows leaves only the error terms, and the bound stays above
-    the radius. A norm that overflows or underflows gives an inf or NaN
-    bound, and the caller solves such points.
+    The powers are formed by squarings, each followed by a rescaling by an
+    exact power of two. The stack is first scaled by 2^-b, b the binary
+    exponent of its largest entry, so that no norm overflows. At level j,
+    P_j is the computed square of X_j-1 (P_0 = fl(M 2^-b)), a_j is the
+    binary exponent of its computed Frobenius norm, and X_j = P_j 2^-a_j
+    has a norm near [1/2, 1), so the next squaring neither overflows nor
+    underflows. X_j approximates T_j = M^(2^j) 2^-c_j, with c_0 = b + a_0
+    and c_j = 2 c_j-1 + a_j. Scaling by a power of two changes only a
+    number's exponent, so it is exact unless the result leaves the normal
+    range. Here it cannot overflow; an entry pushed into the subnormal
+    range rounds by at most 2^-1075, so n tiny in norm covers a whole
+    matrix. Norms scale exactly with the matrix, so the rounding analysis
+    is that of unscaled squarings, level by level.
+
+    ``err`` carries a bound on ||X_j - T_j||_F. A dot product of length n
+    rounds by at most gamma_n = nu/(1 - nu) times the sum of its absolute
+    products, in any order and with or without FMA, plus 2n tiny where the
+    products reach the subnormal range (flushed to zero or not). ``nrm_j``
+    bounds ||X_j||_F: the computed norm of P_j raised by its own rounding,
+    gamma_(n^2+2) relative plus n sqrt(tiny) for squares that underflow,
+    then scaled, plus n tiny for the rescaling. So ||T_j||_F <= nrm_j +
+    err_j, and
+
+        ||X_0 - T_0||_F     <= (n tiny) 2^-a_0 + n tiny
+        ||X_j+1 - T_j+1||_F <= ((2 nrm_j + err_j) err_j + gamma_n nrm_j^2
+                                + 2n^2 tiny) 2^-a_j+1 + n tiny.
+
+    A bound taken at any level is valid on its own: rho(M)^(2^j) =
+    rho(M^(2^j)) <= ||M^(2^j)||_F = 2^c_j ||T_j||_F, so rho(M) <=
+    2^(c_j/2^j) (nrm_j + err_j)^(2^-j) for the exact radius. It is compared
+    with the floor in base-2 logarithms, c_j + log2(nrm_j + err_j) against
+    2^j log2(floor), which moves the bound by some u |log2 rho| relative,
+    about 1e-13 at worst, and the caller's slack covers that. Cancellation
+    in the squarings, as in non-normal or nearly nilpotent blocks, is
+    relative to ||X_j||^2 rather than to the power, so no relative slack
+    could cover it, and rescaling does not remove it; it lands in ``err``
+    instead. A power that vanishes leaves only the error terms, and the
+    bound stays above the radius. A non-finite matrix gives an inf or NaN
+    bound, and such matrices are kept.
     """
     n = mats.shape[-1]
     u, tiny = np.finfo(float).eps / 2, np.finfo(float).tiny
+    keep_all = np.arange(len(mats))
 
     def gamma(k):
         return k * u / (1.0 - k * u)
 
-    def norm(X):
-        frob = np.sqrt(np.einsum("kij,kij->k", X, X))
-        return (1.0 + gamma(n * n + 2)) * frob + n * np.sqrt(tiny)
-
     with np.errstate(all="ignore"):
-        s = np.sqrt(np.einsum("kij,kij->k", mats, mats))
-        X = mats / s[:, None, None]
-        nrm = norm(X)
-        err = gamma(1) * nrm + 2 * n * tiny
-        for _ in range(_SQUARINGS):
-            err = ((2.0 * nrm + err) * err + gamma(n) * nrm * nrm
-                   + 2 * n * n * tiny)
-            X = X @ X
-            nrm = norm(X)
-        return s * (nrm + err) ** (1.0 / 2 ** _SQUARINGS)
+        _, b = np.frexp(np.abs(mats).max())
+        X = np.ldexp(mats, -b)
+        c = np.full(len(mats), float(b))
+        err = np.full(len(mats), n * tiny)
+        log_floor = np.log2(floor)
+        for j in range(_SQUARINGS + 1):
+            if j:
+                err = ((2.0 * nrm + err) * err + gamma(n) * nrm * nrm
+                       + 2 * n * n * tiny)
+                X = X @ X
+                c *= 2.0
+            frob = np.sqrt(np.einsum("kij,kij->k", X, X))
+            nrm = (1.0 + gamma(n * n + 2)) * frob + n * np.sqrt(tiny)
+            _, a = np.frexp(nrm)
+            np.ldexp(X, -a[:, None, None], out=X)
+            nrm = np.ldexp(nrm, -a) + n * tiny
+            err = np.ldexp(err, -a) + n * tiny
+            c += a
+            # the bound is below the floor: 2^j log2 of each side
+            keep = ~(c + np.log2(nrm + err) < 2 ** j * log_floor)
+            if not keep.all():
+                X, nrm, err, c, keep_all = (
+                    v[keep] for v in (X, nrm, err, c, keep_all))
+                if not keep_all.size:
+                    break
+        return keep_all
 
 
 def grid_verify(
@@ -172,16 +220,19 @@ def grid_verify(
     Zero-margin directions contribute the single point 0. Grids beyond
     ``MAX_GRID_POINTS`` are rejected; use fewer samples per direction.
 
-    The sweep bounds before it solves. Every point gets a rigorous upper
-    bound on its spectral radius (``_radius_bounds``); the point of largest
-    bound in each block of ``_BLOCK_ENTRIES`` matrix entries is eigen-solved,
-    and the largest of these radii is the seed. Only points whose bound is not below the
-    seed, less the relative ``_SLACK``, are eigen-solved after that. A point
-    left out has an exact radius below the seed, hence below the maximum,
-    so the report equals that of solving every point, bit for bit: each
-    matrix is built as in a full sweep, and LAPACK solves the matrices one
-    by one. This rests on the eigensolver erring by less than the slack at
-    the points left out (see the threshold below).
+    The sweep bounds before it solves. The seed radius comes first: the
+    largest radius that the eigensolver returns on a coarse sub-grid that
+    includes the box's vertices (``_sub_grid``). It is a radius returned at
+    a grid matrix, built as the sweep builds it, so it is at most the
+    maximum that a full sweep finds. Every point then gets rigorous upper
+    bounds on its spectral radius (``_survivors``), squaring after
+    squaring, and is eigen-solved only if none of them is below the seed,
+    less the relative ``_SLACK``. A point left out has an exact radius
+    below the seed, hence below the maximum, so the report equals that of
+    solving every point, bit for bit: each matrix is built as in a full
+    sweep, and LAPACK solves the matrices one by one. This rests on the
+    eigensolver erring by less than the slack at the points left out (see
+    the threshold below).
     """
     if samples_per_dir < 2:
         raise ValueError("samples_per_dir must be >= 2")
@@ -207,62 +258,60 @@ def grid_verify(
     # bound and solve blocks stay at a fixed size in memory whatever n is
     step = max(1, _BLOCK_ENTRIES // A_cl.size)
 
-    def blocks(needed=None):
-        # (first flat index, points, closed loops) of each block, in grid
-        # order. Blocks are cut from chunks built in one product each, as a
-        # full sweep builds them; a chunk in which ``needed`` marks no point
-        # is skipped.
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            if needed is not None and not needed[start:stop].any():
-                continue
-            flat = np.arange(start, stop)
-            mu = np.stack([ax[i] for ax, i in
-                           zip(axes, np.unravel_index(flat, shape))], axis=1)
-            mats = np.tensordot(mu, D, axes=(1, 0))
-            mats += A_cl
-            for b in range(0, stop - start, step):
-                yield start + b, mu[b:b + step], mats[b:b + step]
+    def build(flat):
+        # the grid points at these flat indices and their closed loops,
+        # formed in one product as a full sweep forms them
+        mu = np.stack([ax[i] for ax, i in
+                       zip(axes, np.unravel_index(flat, shape))], axis=1)
+        mats = np.tensordot(mu, D, axes=(1, 0))
+        mats += A_cl
+        return mu, mats
 
-    bound = np.empty(total)
-    seeds, seed_mats = [], []
-    for first, _, mats in blocks():
-        ub = bound[first:first + len(mats)] = _radius_bounds(mats)
-        # argmax takes a NaN bound first, which must be solved anyway
-        top = int(np.argmax(ub))
-        seeds.append(first + top)
-        seed_mats.append(mats[top].copy())
-    del mats  # a view that would keep its chunk alive through the solves
-    seed_rho = np.abs(la.eigvals(np.stack(seed_mats))).max()
+    coarse = _sub_grid(shape)
+    seed_rho, seed_at = -np.inf, 0
+    for b in range(0, coarse.size, step):
+        rho = np.abs(la.eigvals(build(coarse[b:b + step])[1])).max(axis=1)
+        top = int(np.argmax(rho))
+        if rho[top] > seed_rho:
+            seed_rho, seed_at = rho[top], int(coarse[b + top])
     # ``err`` covers the rounding in the squarings; the slack covers the
-    # rest: evaluating err, the root and the product rounds a bound by at
-    # most about (2 _SQUARINGS + 6) u relative, some 1e-15, far below 1e-6.
-    # So a point left out has an exact radius below the seed. Its
-    # eigensolver value could still pass the seed only if the solver erred
-    # there by more than the slack, which a backward stable solver does
-    # only at eigenvalues of condition number about 1e-6 / (n u), some 1e9,
-    # or more. The seeds are solved again with the survivors, so the
-    # maximum found never drops below the seed.
-    solve = ~(bound < seed_rho * (1.0 - _SLACK))
-    solve[seeds] = True
+    # rest: evaluating nrm, err and the logarithms of the comparison moves
+    # a bound by at most some 1e-13 relative, far below 1e-6. So a point
+    # left out has an exact radius below the seed. Its eigensolver value
+    # could still pass the seed only if the solver erred there by more than
+    # the slack, which a backward stable solver does only at eigenvalues of
+    # condition number about 1e-6 / (n u), some 1e9, or more. The seed's
+    # point is solved again with the survivors, so the maximum found never
+    # drops below the seed.
+    floor = seed_rho * (1.0 - _SLACK)
 
     worst = -np.inf
     worst_mu = None
-    for first, mu, mats in blocks(solve):
-        pick = solve[first:first + len(mats)]
-        if not pick.any():
-            continue
-        rho = np.abs(la.eigvals(mats[pick])).max(axis=1)
-        idx = int(np.argmax(rho))
-        if rho[idx] > worst:
-            worst = float(rho[idx])
-            worst_mu = mu[pick][idx]
+    solved = 0
+    for start in range(0, total, _CHUNK):
+        mu, mats = build(np.arange(start, min(start + _CHUNK, total)))
+        for b in range(0, len(mats), step):
+            # the block's grid points are start + b <= i < start + stop
+            stop = min(b + step, len(mats))
+            pick = b + _survivors(mats[b:stop], floor)
+            if b <= seed_at - start < stop:
+                pick = np.union1d(pick, seed_at - start)
+            if not pick.size:
+                continue
+            rho = np.abs(la.eigvals(mats[pick])).max(axis=1)
+            # a sub-grid point solved again counts once
+            lo, hi = np.searchsorted(coarse, (start + b, start + stop))
+            solved += pick.size - np.isin(coarse[lo:hi] - start, pick).sum()
+            idx = int(np.argmax(rho))
+            if rho[idx] > worst:
+                worst = float(rho[idx])
+                worst_mu = mu[pick[idx]].copy()
     return GridReport(
         samples=total,
         worst_rho=worst,
         worst_mu=worst_mu,
         all_stable=worst < 1.0,
-        eigensolves=int(np.count_nonzero(solve)),
+        eigensolves=int(solved) + coarse.size,
     )
 
 
@@ -290,11 +339,86 @@ def exact_moment_recursion(
     return out
 
 
-def _trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """The generator of one trial: the child ``trial`` of
-    ``SeedSequence(seed).spawn``, built without the children before it."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(seed, spawn_key=(trial,))))
+#: Constants of numpy's SeedSequence hash (NEP 19 fixes its streams) and
+#: the PCG64 multiplier, for deriving the trials' streams in bulk. The
+#: hash's two steps follow, as numpy writes them (hashmix and mix), on
+#: Python integers or numpy uint32 arrays alike.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    value = (value ^ const) & _M32
+    const = const * mult & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _trial_streams(seed: int, start: int, stop: int):
+    """Yield one generator, set in turn to the streams of trials start ..
+    stop - 1: trial t's is ``PCG64(SeedSequence(seed, spawn_key=(t,)))``,
+    the t-th child that ``SeedSequence(seed).spawn`` returns.
+
+    The states are derived as numpy derives them, for all the trials at
+    once: the SeedSequence pool mixes the seed's 32-bit words (padded with
+    zeros to four) and then the trial's, and ``generate_state(4, uint64)``
+    hashes the pool into the PCG64 seed, whose two 128-bit halves set the
+    state as pcg_setseq_128_srandom_r does (inc = seq << 1 | 1, a step,
+    add the state, a step). Mixing the seed's words is common to all
+    trials and runs on Python integers; the trial's words run on numpy
+    uint32 arrays, whose products wrap modulo 2^32 as the hash's do. One
+    ``PCG64`` and ``Generator`` are reused, so draw from each before taking
+    the next.
+    """
+    seed = int(seed)
+    run = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    run += [0] * (4 - len(run))
+    trials = np.arange(start, stop, dtype=np.uint64)
+    const, pool = _INIT_A, []
+    for w in run[:4]:
+        v, const = _hashmix(w, const)
+        pool.append(v)
+    for i in range(4):
+        for k in range(4):
+            if i != k:
+                h, const = _hashmix(pool[i], const)
+                pool[k] = _mix(pool[k], h)
+    for w in run[4:] + [(trials & _M32).astype(np.uint32)]:
+        for k in range(4):
+            h, const = _hashmix(w, const)
+            pool[k] = _mix(pool[k], h)
+    high = (trials >> 32).astype(np.uint32)
+    if high.any():
+        # a trial index of 2^32 or more adds a second word to its key
+        for k in range(4):
+            h, const = _hashmix(high, const)
+            pool[k] = np.where(high > 0, _mix(pool[k], h), pool[k])
+    const, words = _INIT_B, []
+    for i in range(8):
+        v, const = _hashmix(pool[i % 4], const, _MULT_B)
+        words.append(v.astype(np.uint64))
+    seeds = [(words[2 * i] | words[2 * i + 1] << 32).tolist()
+             for i in range(4)]
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for s0, s1, q0, q1 in zip(*seeds):
+        inc = ((q0 << 64 | q1) << 1 | 1) & _M128
+        state["state"] = {
+            "state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128,
+            "inc": inc,
+        }
+        bitgen.state = state
+        yield rng
 
 
 def simulate_second_moment(
@@ -330,9 +454,9 @@ def simulate_second_moment(
 
     # One product per step: the states of a block are the columns of X; the
     # first n rows of W X are A_cl X, and the j-th n rows after them D_j X.
-    # Trials run in blocks of _MC_BLOCK, each building its own streams, so
-    # memory does not grow with the trial count; the sums of x x^T are
-    # divided once at the end.
+    # Trials run in blocks of _MC_BLOCK, each deriving its own streams in
+    # bulk, so memory does not grow with the trial count; the sums of x x^T
+    # are divided once at the end.
     W = W.reshape((k + 1) * n, n)
     size = min(cfg.trials, _MC_BLOCK)
     Z = np.empty((size, n))
@@ -340,8 +464,7 @@ def simulate_second_moment(
     sums = np.zeros((cfg.horizon + 1, n, n))
     for start in range(0, cfg.trials, _MC_BLOCK):
         b = min(_MC_BLOCK, cfg.trials - start)
-        for i in range(b):
-            rng = _trial_generator(cfg.seed, start + i)
+        for i, rng in enumerate(_trial_streams(cfg.seed, start, start + b)):
             rng.standard_normal(out=Z[i])
             if k:
                 if gaussian:

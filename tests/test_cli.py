@@ -370,6 +370,27 @@ def test_directory_path_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trials", "3", "--seed", "1", "--cert", ""],
+    ["verify-grid", "--cert", ""],
+], ids=["simulate", "verify-grid"])
+def test_empty_cert_path_exit_two(tmp_path, capsys, argv):
+    # an empty path is bad input for both commands, not "no document" for
+    # one and the current directory for the other
+    problem = write_problem(tmp_path, pendulum_doc())
+    assert main([argv[0], problem] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: option '--cert': empty path\n"
+
+
+def test_reproduce_pendulum_names_a_bad_samples_flag(capsys):
+    assert main(["reproduce-pendulum", "--samples", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: option '--samples': ")
+    assert err.count("\n") == 1
+
+
 def test_numerical_failure_exit_three(tmp_path, capsys, monkeypatch):
     path = write_problem(tmp_path, stable_doc())
     import multinoise.cli as cli_mod

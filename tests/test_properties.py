@@ -32,7 +32,7 @@ from multinoise.matops import pos_part, symmetrize
 from multinoise.stability import _mss_holds, _svec_lift
 from multinoise.verify import (
     _MC_BLOCK,
-    _radius_bounds,
+    _survivors,
     exact_moment_recursion,
 )
 
@@ -204,9 +204,9 @@ def test_bisection_reads_the_sequential_probes(threshold, rel_tol):
 
 @st.composite
 def grid_instances(draw):
-    """A seeded closed loop, n in 1..4 with 1-3 directions, a box in either
+    """A seeded closed loop, n in 1..5 with 1-3 directions, a box in either
     mode with bounds that may be zero, and at most about 3000 grid points."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
     p = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A_cl = draw(st.floats(0.1, 2.0)) * rng.normal(size=(n, n))
@@ -221,8 +221,8 @@ def grid_instances(draw):
 @PROPERTY
 @given(grid_instances(), st.sampled_from([1, 100, 65536]))
 def test_grid_sweep_matches_full_sweep_bitwise(instance, block_entries):
-    # blocks of one entry make every point a seed, 100 entries give many
-    # seeds, and the library's blocks at most a few per grid here
+    # blocks of one entry bound and solve point by point, 100 entries give
+    # many blocks, and the library's blocks at most a few per grid here
     A_cl, dirs, box, samples = instance
     with mock.patch.object(multinoise.verify, "_BLOCK_ENTRIES",
                            block_entries):
@@ -234,18 +234,20 @@ def test_grid_sweep_matches_full_sweep_bitwise(instance, block_entries):
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(-300, 300),
        st.booleans())
 def test_radius_bound_lies_above_the_radius(n, seed, exponent, symmetric):
-    # an inf or NaN bound is no bound: the sweep solves such points
+    # a floor just below each radius keeps every matrix, so no level's
+    # bound fell below the radius; an inf or NaN bound keeps its matrix
     rng = np.random.default_rng(seed)
     M = rng.normal(size=(16, n, n))
     if symmetric:
         M = M + M.transpose(0, 2, 1)
     M *= 10.0 ** exponent
-    ub = _radius_bounds(M)
-    rho = np.abs(la.eigvals(M)).max(axis=1)
-    assert not np.any(ub < rho * (1 - 1e-12))
-    if symmetric and abs(exponent) <= 100:
-        # ||N^64||_F <= sqrt(n) rho(N)^64 for symmetric N
-        assert np.all(ub <= 1.02 * rho)
+    for X in M:
+        rho = np.abs(la.eigvals(X)).max()
+        assert _survivors(X[None], rho * (1 - 1e-12)).size == 1
+        if symmetric and abs(exponent) <= 100:
+            # ||N^256||_F <= sqrt(n) rho(N)^256 for symmetric N, so the
+            # last level rules out a floor 2% above the radius
+            assert _survivors(X[None], 1.02 * rho).size == 0
 
 
 @st.composite

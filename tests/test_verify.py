@@ -14,7 +14,7 @@ from multinoise import (
     simulate_second_moment,
     spectral_radius,
 )
-from multinoise.verify import exact_moment_recursion
+from multinoise.verify import _survivors, exact_moment_recursion
 
 from conftest import (
     assert_sweep_matches_oracle, random_mss_instance, vec,
@@ -73,6 +73,28 @@ def test_grid_verify_chunked_two_directions():
     assert_sweep_matches_oracle(report, A_cl, dirs, box, 300)
 
 
+def test_grid_verify_seed_just_past_a_chunk():
+    # at n = 3 a chunk of 65536 points ends in a partial block of 16; the
+    # seed, the far vertex, lies in the next chunk within a block's length
+    # of that partial block's start, and is solved in its own chunk
+    A_cl, dirs = 0.5 * np.eye(3), [(np.eye(3), 1.0)]
+    box = PerturbationBox(eta=[0.3], psi=[], bidirectional=False)
+    report = grid_verify(A_cl, dirs, box, 69_000)
+    assert report.worst_mu[0] == multinoise.verify._grid_axes(box, 2)[0][-1]
+    assert_sweep_matches_oracle(report, A_cl, dirs, box, 69_000)
+
+
+def test_grid_verify_many_directions():
+    # the seed's sub-grid spreads over the first four axes and takes the
+    # far end alone of the other four, so it stays at 16 points
+    rng = np.random.default_rng(8)
+    A_cl, dirs = random_mss_instance(rng, 3, 8, 0.5)
+    box = PerturbationBox(eta=np.full(8, 0.02), psi=[], bidirectional=True)
+    assert multinoise.verify._sub_grid((3,) * 8).size == 16
+    report = grid_verify(A_cl, dirs, box, 3)
+    assert_sweep_matches_oracle(report, A_cl, dirs, box, 3)
+
+
 _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]])
 _GENERIC = np.array([[0.5, 0.2, 0.0], [-0.3, 0.4, 0.1], [0.0, 0.2, 0.6]])
 
@@ -104,6 +126,35 @@ def test_grid_sweep_matches_full_sweep_on_edge_cases(A_cl, mats, eta,
     if not mats[0].any():
         first = multinoise.verify._grid_axes(box, 60)[0][0]
         assert report.worst_mu[0] == first
+
+
+def _upper_triangular(rng, k, n, corner):
+    # non-normal blocks whose radius is exact: LAPACK returns the diagonal
+    # of a triangular matrix as its eigenvalues
+    M = np.triu(rng.uniform(-1.0, 1.0, size=(k, n, n)))
+    M[:, 0, -1] = corner
+    return M
+
+
+@pytest.mark.parametrize("kind", ["random", "tiny", "huge", "non-normal"])
+def test_rescaled_bound_lies_above_the_radius_at_every_level(kind):
+    rng = np.random.default_rng(17)
+    M = {"random": lambda: rng.normal(size=(64, 4, 4)),
+         "tiny": lambda: 1e-200 * rng.normal(size=(64, 4, 4)),
+         "huge": lambda: 1e200 * rng.normal(size=(64, 4, 4)),
+         "non-normal": lambda: _upper_triangular(rng, 64, 3, 1e6),
+         }[kind]()
+    # _survivors drops a matrix at the first level whose bound is below the
+    # floor; with the floor just below its radius, each matrix passes every
+    # level from the Frobenius norm to the 256th power
+    rho = np.abs(la.eigvals(M)).max(axis=1)
+    for X, r in zip(M, rho):
+        assert _survivors(X[None], r * (1 - 1e-12)).size == 1
+        if kind != "non-normal":
+            # and the bounds are not vacuous: a floor well above fails one
+            assert _survivors(X[None], 1.5 * r).size == 0
+    # scaled together as one stack, no matrix falls below the least radius
+    assert _survivors(M, rho.min() * (1 - 1e-12)).size == len(M)
 
 
 def test_grid_verify_rejects_misshaped_direction():
@@ -215,16 +266,32 @@ def test_monte_carlo_config_validation():
 @pytest.mark.parametrize("trial", [0, multinoise.verify._MC_BLOCK - 1,
                                    multinoise.verify._MC_BLOCK])
 def test_trial_streams_are_the_spawned_children(trial):
-    # each block builds its own children; they are those spawn returns
-    children = np.random.SeedSequence(23).spawn(trial + 1)
-    spawned = np.random.Generator(np.random.PCG64(children[trial]))
-    built = multinoise.verify._trial_generator(23, trial)
-    assert np.array_equal(built.bit_generator.seed_seq.generate_state(4),
-                          children[trial].generate_state(4))
-    assert np.array_equal(built.standard_normal(8),
-                          spawned.standard_normal(8))
-    assert np.array_equal(built.integers(0, 2, size=(5, 3)),
-                          spawned.integers(0, 2, size=(5, 3)))
+    # the streams derived in bulk are those spawn returns, for seeds of one,
+    # two, three and five 32-bit words and for numpy integer seeds, and for
+    # a trial alone or inside a block that starts earlier
+    for seed in (23, 2**32 + 5, 2**64 + 7, 2**130 + 9, np.uint64(2**63 + 3),
+                 np.uint64(41)):
+        child = np.random.SeedSequence(seed).spawn(trial + 1)[trial]
+        for start in (trial, 0):
+            for built in multinoise.verify._trial_streams(seed, start,
+                                                          trial + 1):
+                pass
+            spawned = np.random.Generator(np.random.PCG64(child))
+            assert built.bit_generator.state == spawned.bit_generator.state
+            assert np.array_equal(built.standard_normal(8),
+                                  spawned.standard_normal(8))
+            assert np.array_equal(built.integers(0, 2, size=(5, 3)),
+                                  spawned.integers(0, 2, size=(5, 3)))
+
+
+def test_trial_streams_past_two_to_the_32():
+    # a trial index of 2^32 or more is two words of the spawn key; a block
+    # across that boundary derives both kinds of key
+    start = 2**32 - 2
+    for trial, built in enumerate(multinoise.verify._trial_streams(
+            7, start, start + 4), start):
+        child = np.random.SeedSequence(7, spawn_key=(trial,))
+        assert built.bit_generator.state == np.random.PCG64(child).state
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
