@@ -30,6 +30,8 @@ from .design import (
     design_algorithm_2,
 )
 from .errors import (
+    DimensionError,
+    GridSizeError,
     NotMeanSquareStableError,
     NumericalError,
     ProblemFormatError,
@@ -225,7 +227,13 @@ def _closed_loop(problem: Problem, path, need_certificate: bool = False):
 def cmd_verify_grid(args) -> int:
     problem = load_problem(args.problem)
     A_cl, dirs, cert = _closed_loop(problem, args.cert, need_certificate=True)
-    report = grid_verify(A_cl, dirs, cert.box, args.samples)
+    try:
+        report = grid_verify(A_cl, dirs, cert.box, args.samples)
+    except GridSizeError as exc:
+        raise ProblemFormatError(f"option '--samples': {exc}") from exc
+    except DimensionError as exc:
+        # the problem's directions were checked on loading; the box was not
+        raise ProblemFormatError(f"certificate file: {exc}") from exc
     _emit({
         "samples": report.samples,
         "worst_rho": report.worst_rho,

@@ -32,7 +32,8 @@ class NumericalError(MultinoiseError):
 
 
 class GridSizeError(MultinoiseError, ValueError):
-    """A requested verification grid exceeds the hard size limit."""
+    """A requested verification grid has fewer than two samples per
+    direction or exceeds the hard size limit."""
 
 
 class ProblemFormatError(MultinoiseError, ValueError):

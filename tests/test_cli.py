@@ -391,6 +391,26 @@ def test_reproduce_pendulum_names_a_bad_samples_flag(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("samples", ["1", "100000000"])
+def test_verify_grid_names_a_bad_samples_flag(tmp_path, capsys, samples):
+    # too coarse a grid, and one past MAX_GRID_POINTS, are the flag's fault
+    path = write_problem(tmp_path, {"A": [[-0.5]], "B": [[1.0]],
+                                    "A_dirs": [[[1.0]]]})
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(_scalar_cert()))
+    argv = ["verify-grid", path, "--cert", str(cert_path), "--samples"]
+    assert main(argv + [samples]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: option '--samples': ")
+    assert err.count("\n") == 1
+    # a box that does not fit the problem's directions is the document's
+    cert_path.write_text(json.dumps(_scalar_cert(eta=[0.7, 0.7])))
+    assert main(argv + ["10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate file: box has 2 entries")
+    assert "--samples" not in err
+
+
 def test_numerical_failure_exit_three(tmp_path, capsys, monkeypatch):
     path = write_problem(tmp_path, stable_doc())
     import multinoise.cli as cli_mod

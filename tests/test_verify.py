@@ -14,7 +14,8 @@ from multinoise import (
     simulate_second_moment,
     spectral_radius,
 )
-from multinoise.verify import _survivors, exact_moment_recursion
+from multinoise.verify import (_rademacher_bits, _survivors,
+                               exact_moment_recursion)
 
 from conftest import (
     assert_sweep_matches_oracle, random_mss_instance, vec,
@@ -99,6 +100,44 @@ _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]])
 _GENERIC = np.array([[0.5, 0.2, 0.0], [-0.3, 0.4, 0.1], [0.0, 0.2, 0.6]])
 
 
+@pytest.mark.parametrize("p, samples, bidirectional", [
+    (1, 100_003, False),  # a long 1-D grid: 6251 cells, the last of 3 points
+    (1, 2, True),         # one cell of two points
+    (2, 101, True),       # 4 x 4 cells, the last row and column of 1 point
+    (2, 300, False),      # past one chunk, 300 = 75 cells of 4
+    (3, 23, True),        # 2 x 2 x 2 cells, the last of 1 point per axis
+    (6, 4, False),        # every cell would hold one point: no cell pass
+])
+def test_grid_sweep_matches_full_sweep_on_random_boxes(p, samples,
+                                                       bidirectional):
+    rng = np.random.default_rng(100 * p + samples % 97)
+    A_cl, dirs = random_mss_instance(rng, 3, p, 0.6)
+    box = PerturbationBox(eta=rng.uniform(0.01, 0.3, size=p), psi=[],
+                          bidirectional=bidirectional)
+    report = grid_verify(A_cl, dirs, box, samples)
+    assert_sweep_matches_oracle(report, A_cl, dirs, box, samples)
+
+
+def test_cells_leave_few_points_of_the_pendulum_grid(monkeypatch, pendulum,
+                                                     pendulum_alg1):
+    # the centres' bounds carry a starting error; the points' do not
+    seen = {"cells": 0, "points": 0}
+
+    def counted(mats, floor, err0=0.0):
+        seen["cells" if np.ndim(err0) else "points"] += len(mats)
+        return _survivors(mats, floor, err0)
+
+    monkeypatch.setattr(multinoise.verify, "_survivors", counted)
+    noise = pendulum.noise.with_variances([pendulum_alg1.z_star], [])
+    A_cl, dirs = closed_loop_substitution(pendulum.system, noise,
+                                          pendulum_alg1.K)
+    report = grid_verify(A_cl, dirs, pendulum_alg1.certificate.box, 10**6)
+    assert report.all_stable and report.samples == 10**6
+    assert seen["cells"] == 10**6 // 16
+    assert report.eigensolves <= seen["points"] < 10**5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("A_cl, mats, eta, bidirectional", [
     # a zero direction: every point ties, the first grid point wins
     (_GENERIC, [np.zeros((3, 3))], [0.4], False),
@@ -155,6 +194,36 @@ def test_rescaled_bound_lies_above_the_radius_at_every_level(kind):
             assert _survivors(X[None], 1.5 * r).size == 0
     # scaled together as one stack, no matrix falls below the least radius
     assert _survivors(M, rho.min() * (1 - 1e-12)).size == len(M)
+
+
+@pytest.mark.parametrize("kind", ["random", "tiny", "huge", "non-normal"])
+def test_starting_error_covers_every_matrix_within_it(kind):
+    # a centre is kept whenever a matrix within err0 of it, in Frobenius
+    # norm, has a radius at or above the floor; the perturbations sit just
+    # inside that distance, in random directions
+    rng = np.random.default_rng(23)
+    scale = {"random": 1.0, "tiny": 1e-200, "huge": 1e200,
+             "non-normal": 1.0}[kind]
+    for n in (1, 2, 4):
+        for rel in (1e-12, 1e-6, 1e-3, 0.1):
+            X = rng.normal(size=(n, n))
+            if kind == "non-normal":
+                X = np.triu(X)
+                X[0, -1] = 1e4
+            err0 = rel * la.norm(X) * scale
+            X *= scale
+            E = rng.normal(size=(32, n, n))
+            E *= err0 * (1 - 1e-9) / la.norm(E, axis=(1, 2))[:, None, None]
+            rho = np.abs(la.eigvals(X + E)).max(axis=1)
+            for floor in (rho.max(), np.median(rho)):
+                assert _survivors(X[None], floor, err0).size == 1
+            if rel <= 1e-6 and kind != "non-normal":
+                # and the bound is not vacuous
+                assert _survivors(X[None], 1.5 * rho.max(), err0).size == 0
+            # per-matrix errors: each covers its own matrix alone
+            stack = np.stack([X, X])
+            kept = _survivors(stack, rho.max(), np.array([err0, 0.0]))
+            assert 0 in kept
 
 
 def test_grid_verify_rejects_misshaped_direction():
@@ -326,6 +395,21 @@ def test_monte_carlo_blocks_match_one_block(monkeypatch, law):
     whole = simulate_second_moment(A_cl, dirs, cfg, np.eye(3)).empirical
     for B, W in zip(blocked, whole):
         assert la.norm(B - W) <= 1e-12 * la.norm(W)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 400, 401])
+def test_rademacher_bits_are_the_generators_integers(count):
+    # two draws per 64-bit output, the low half first, for odd and even
+    # counts; a stack of outputs turns into signs row by row
+    for seed in (7, 23, 101):
+        raw = np.random.Generator(np.random.PCG64(seed))
+        words = raw.bit_generator.random_raw((3, -(-count // 2)))
+        bits = _rademacher_bits(words, count)
+        for row in range(3):
+            drawn = np.random.Generator(np.random.PCG64(seed))
+            drawn.bit_generator.advance(row * words.shape[1])
+            assert np.array_equal(bits[row],
+                                  drawn.integers(0, 2, size=count))
 
 
 @pytest.mark.parametrize("variance", [-0.1, float("nan"), float("inf")])
