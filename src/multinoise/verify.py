@@ -40,14 +40,14 @@ _INTERIOR = 1.0 - 1e-9
 #: The grid sweep takes its seed radius from eigensolves on a coarse
 #: sub-grid of about _SEED_POINTS points, the box's vertices among them;
 #: rules out whole cells of about _CELL_POINTS points from a bound at each
-#: cell's centre; builds the closed loops of _CHUNK points per product, as
-#: a full sweep does; bounds and solves them in blocks of _BLOCK_ENTRIES
-#: matrix entries, squaring up to _SQUARINGS times in the radius bound
-#: (rho(M) <= ||M^256||^(1/256)); and rules a point out at the first level
-#: whose bound is below the seed radius less the relative _SLACK.
+#: cell's centre, then the points of the cells left, each a cell of one;
+#: builds and bounds them in blocks of _BLOCK_ENTRIES matrix entries,
+#: _CELL_POINTS blocks to a call, squaring up to _SQUARINGS times in the
+#: radius bound (rho(M) <= ||M^256||^(1/256)); and rules a cell out at the
+#: first level whose bound is below the seed radius less the relative
+#: _SLACK.
 _SEED_POINTS = 16
 _CELL_POINTS = 16
-_CHUNK = 65536
 _BLOCK_ENTRIES = 32768
 _SQUARINGS = 8
 _SLACK = 1e-6
@@ -120,12 +120,14 @@ def _grid_axes(box: PerturbationBox, samples_per_dir: int) -> list[np.ndarray]:
 def _sub_grid(shape: tuple[int, ...]) -> np.ndarray:
     """Sorted flat indices of a coarse sub-grid of a grid of this shape,
     of about _SEED_POINTS points: evenly spaced indices, both ends among
-    them, on each of the first log2(_SEED_POINTS) axes, and the far end
-    alone on any further axis. On a box of up to that many directions it
-    holds every vertex, and it stays small however many there are."""
-    spread = min(len(shape), int(math.log2(_SEED_POINTS)))
-    per_axis = max(2, round(_SEED_POINTS ** (1 / spread)))
-    picks = [np.linspace(s - 1, 0, per_axis if i < spread else 1)
+    them, on each of the first log2(_SEED_POINTS) axes of more than one
+    point, and the far end alone on any further axis. On a box of up to
+    that many nonzero directions it holds every vertex, and it stays small
+    however many there are."""
+    wide = [i for i, s in enumerate(shape)
+            if s > 1][:int(math.log2(_SEED_POINTS))]
+    per_axis = max(2, round(_SEED_POINTS ** (1 / max(len(wide), 1))))
+    picks = [np.linspace(s - 1, 0, per_axis if i in wide else 1)
              for i, s in enumerate(shape)]
     mesh = np.meshgrid(*(np.unique(ix.round().astype(int)) for ix in picks),
                        indexing="ij")
@@ -140,10 +142,15 @@ def _grid_points(axes, shape: tuple[int, ...], flat) -> np.ndarray:
 
 
 def _closed_loops(A_cl, D, mu) -> np.ndarray:
-    """The closed loops A_cl + sum_i mu_i D_i at the points ``mu``, formed
-    in one product as a full sweep forms them."""
-    mats = np.tensordot(mu, D, axes=(1, 0))
-    mats += A_cl
+    """The closed loops A_cl + sum_i mu_i D_i at the points ``mu``, built
+    entry by entry in direction order: A_cl, then mu_i D_i added for each
+    direction in turn. Every entry takes the same rounded operations
+    whatever other points are built with it, so a matrix's bits depend on
+    its point alone."""
+    mats = np.repeat(A_cl[None], len(mu), axis=0)
+    term = np.empty_like(mats)
+    for i, D_i in enumerate(D):
+        mats += np.multiply(mu[:, i, None, None], D_i, out=term)
     return mats
 
 
@@ -252,95 +259,91 @@ def _survivors(mats: np.ndarray, floor: float, err0=0.0) -> np.ndarray:
         return keep_all
 
 
-def _live_cells(A_cl, D, axes, floor: float, step: int):
-    """The cells of the grid on ``axes`` that a bound at their centres
-    cannot place below ``floor``.
+def _cells(axes, edges):
+    """The cells of the grid on ``axes`` that span ``edges`` points per
+    axis, the last cell on an axis shorter where its edge does not divide
+    it: per axis, the cells' centres, the largest distance from each centre
+    to a point of its cell, and the largest magnitude of a point or a
+    centre. The centre of a cell is the midpoint of its end points, and a
+    cell of one point is centred exactly on it. The axes are nondecreasing
+    (a linspace scaled by a positive factor, and rounding is monotone), and
+    so are the centres, so the largest magnitudes are read from their ends.
+    """
+    centres, halves, largest = [], [], []
+    for ax, e in zip(axes, edges):
+        if e == 1:
+            mid, half = ax, np.broadcast_to(0.0, ax.size)
+        else:
+            lo = ax[::e]
+            hi = ax[np.minimum(np.arange(e - 1, ax.size + e - 1, e),
+                               ax.size - 1)]
+            mid = 0.5 * lo + 0.5 * hi
+            half = np.maximum(mid - lo, hi - mid)
+        centres.append(mid)
+        halves.append(half)
+        largest.append(np.abs([ax[0], ax[-1], mid[0], mid[-1]]).max())
+    return centres, halves, np.array(largest)
 
-    A cell spans ``edge`` points on each axis of more than one point, the
-    largest edge with edge^q <= _CELL_POINTS for q such axes; the last cell
-    on an axis is shorter where the edge does not divide it. Returns the
-    edge on each of those axes and a flag per cell, an array over the
-    cells' tensor grid without the one-point axes, or None where every cell
-    would hold one point.
 
-    Each cell's centre matrix X_c is built at the midpoints mu_c of its end
-    points on each axis, by the same product as the points, and bounded by
-    ``_survivors`` with the starting error
+def _live(A_cl, D, norms, cells, flat, floor: float):
+    """Flags of the cells (of ``_cells``) at these flat indices that a
+    bound at their centres cannot place below ``floor``, and the matrices
+    at their centres.
+
+    Each centre matrix X_c, built at mu_c by ``_closed_loops``, is bounded
+    by ``_survivors`` with the starting error
 
         err0 = sum_i h_i ||D_i||_F
                + 2 gamma_(p+1) (||A||_F + sum_i max|mu_i| ||D_i||_F),
 
     h_i the largest distance from mu_c,i to a point of the cell on axis i,
-    and max|mu_i| the largest magnitude on axis i, the centres' included.
-    The axes are nondecreasing (a linspace scaled by a positive factor, and
-    rounding is monotone), so both are read from each cell's end points.
-    It bounds ||X_c - M||_F for every matrix M that the sweep builds in the
-    cell. Each entry of a matrix built at mu is a dot product of length p
-    plus one addition, so it lies within gamma_(p+1) (|A| + sum_i |mu_i|
-    |D_i|) of A + sum_i mu_i D_i, entrywise, plus p 2^-1075 for products
-    that underflow; in Frobenius norm, that is the second term for the
-    centre and again for the point. The exact matrices at the two points
-    differ by sum_i (mu_c,i - mu_i) D_i, at most the first term. Every
-    norm here is an upper bound, taken on the matrix scaled to a largest
-    entry in [1/2, 1), and the sum is raised by gamma_(4p+8) for its own
-    rounding and by 2(p + 1) n tiny for underflow. So a cell left out
-    holds only matrices of exact radius below the floor.
-
-    The centres are built and bounded in blocks of ``step`` matrices, as
-    the points are, so memory stays flat.
+    and max|mu_i| the largest magnitude on axis i, the centres' included;
+    ``norms`` holds upper bounds on ||A||_F and each ||D_i||_F. It bounds
+    ||X_c - M||_F for every matrix M that the sweep builds in the cell. Each
+    entry of a matrix built at mu is A's entry plus p rounded products,
+    added in direction order: p products and one addition per product,
+    so at most p + 1 roundings touch any term, and the entry lies within
+    gamma_(p+1) (|A| + sum_i |mu_i| |D_i|) of A + sum_i mu_i D_i, plus
+    p 2^-1075 for products that underflow. In Frobenius norm, that is the
+    second term for the centre and again for the point. The exact matrices
+    at the two points differ by sum_i (mu_c,i - mu_i) D_i, at most the
+    first term. The sum is raised by gamma_(4p+8) for its own rounding and
+    by 2(p + 1) n tiny for underflow. So a cell left out holds only
+    matrices of exact radius below the floor. A cell of one point is its
+    own centre: its matrix is the point's, bit for bit.
     """
-    n, p = A_cl.shape[0], len(axes)
-    q = sum(ax.size > 1 for ax in axes)
-    edge = max(e for e in range(1, _CELL_POINTS + 1) if e ** q <= _CELL_POINTS)
-    edges = [min(edge, ax.size) for ax in axes]
-    if max(edges) == 1:
-        return None
+    n, p = A_cl.shape[0], len(D)
+    centres, halves, largest = cells
+    shape = tuple(c.size for c in centres)
+    mu = _grid_points(centres, shape, flat)
     with np.errstate(all="ignore"):
-        centres, halves, largest = [], [], []
-        for ax, e in zip(axes, edges):
-            # each cell's first and last point; the axis is nondecreasing
-            lo = ax[::e]
-            hi = ax[np.minimum(np.arange(e - 1, ax.size + e - 1, e),
-                               ax.size - 1)]
-            mid = 0.5 * lo + 0.5 * hi
-            centres.append(mid)
-            halves.append(np.maximum(mid - lo, hi - mid))
-            largest.append(np.abs(np.concatenate([lo, mid, hi])).max())
-        # ||A||_F, then each ||D_i||_F, on the matrix scaled by 2^-s
-        stack = np.concatenate([A_cl[None], D])
-        _, s = np.frexp(np.abs(stack).max(axis=(1, 2)))
-        scaled = np.ldexp(stack, -s[:, None, None])
-        norms = np.ldexp(_frobenius(scaled) + n * _TINY, s) + _TINY
         build = 2.0 * _gamma(p + 1) * (norms[0] + norms[1:] @ largest)
-        shape = tuple(mid.size for mid in centres)
-        live = np.zeros(shape, dtype=bool)
-        flags = live.reshape(-1)
-        for b in range(0, flags.size, step):
-            flat = np.arange(b, min(b + step, flags.size))
-            X = _closed_loops(A_cl, D, _grid_points(centres, shape, flat))
-            h = _grid_points(halves, shape, flat)
-            err0 = ((h @ norms[1:] + build) * (1.0 + _gamma(4 * p + 8))
-                    + 2 * (p + 1) * n * _TINY)
-            flags[b + _survivors(X, floor, err0)] = True
-    wide = [i for i, ax in enumerate(axes) if ax.size > 1]
-    return [edges[i] for i in wide], live.reshape([shape[i] for i in wide])
+        err0 = ((_grid_points(halves, shape, flat) @ norms[1:] + build)
+                * (1.0 + _gamma(4 * p + 8)) + 2 * (p + 1) * n * _TINY)
+    # built and bounded in blocks of _BLOCK_ENTRIES matrix entries
+    step = max(1, _BLOCK_ENTRIES // A_cl.size)
+    X = np.empty((len(flat), n, n))
+    live = np.zeros(len(flat), dtype=bool)
+    for b in range(0, len(flat), step):
+        X[b:b + step] = _closed_loops(A_cl, D, mu[b:b + step])
+        live[b + _survivors(X[b:b + step], floor, err0[b:b + step])] = True
+    return live, X
 
 
-def _live_points(cells, shape: tuple[int, ...], start: int, stop: int):
-    """Flags of the grid points start .. stop - 1, in flat order, set where
-    the point's cell is live. Only the rows of the first axis that hold
-    these points are expanded, from their cells, so the work follows the
-    points asked for."""
-    edges, live = cells
-    shape = [s for s in shape if s > 1]
-    row = math.prod(shape[1:])
-    r0, r1 = start // row, (stop - 1) // row + 1
-    flags = live[r0 // edges[0]:(r1 - 1) // edges[0] + 1]
-    for axis, (s, e) in enumerate(zip(shape, edges)):
-        lo, hi = (r0 % e, r0 % e + r1 - r0) if axis == 0 else (0, s)
-        flags = np.repeat(flags, e, axis=axis)[(slice(None),) * axis
-                                               + (slice(lo, hi),)]
-    return flags.reshape(-1)[start - r0 * row:stop - r0 * row]
+def _cell_points(cells, edges, shape: tuple[int, ...]) -> np.ndarray:
+    """Sorted flat indices of the grid points in the cells at these flat
+    indices of the grid's cells that span ``edges`` points per axis."""
+    p = len(shape)
+    counts = [-(-s // e) for s, e in zip(shape, edges)]
+    flat, inside = 0, True
+    for i, (c, e, s) in enumerate(zip(np.unravel_index(cells, counts),
+                                      edges, shape)):
+        # the points' indices on axis i, laid along axis i + 1
+        at = ((c * e)[:, None] + np.arange(e)).reshape(
+            (len(c),) + (1,) * i + (e,) + (1,) * (p - 1 - i))
+        flat = flat * s + at
+        inside = inside & (at < s)
+    return np.sort(flat[inside])
 
 
 def grid_verify(
@@ -355,23 +358,21 @@ def grid_verify(
     The sweep bounds before it solves. The seed radius comes first: the
     largest radius that the eigensolver returns on a coarse sub-grid that
     includes the box's vertices (``_sub_grid``). It is a radius returned at
-    a grid matrix, built as the sweep builds it, so it is at most the
-    maximum that a full sweep finds. Whole cells of about ``_CELL_POINTS``
-    points go next (``_live_cells``): one matrix at each cell's centre is
-    bounded by ``_survivors`` with a starting error that covers every
-    matrix the sweep builds in the cell, so a cell whose bound is below the
-    seed, less the relative ``_SLACK``, holds only points of exact radius
-    below it, and none of its points is built. The points of the other
-    cells then get rigorous upper bounds on their own spectral radius,
-    squaring after squaring, and are eigen-solved only if none of them is
-    below the seed, less the slack. A point left out, by its cell or by
-    itself, has an exact radius below the seed, hence below the maximum,
-    so the report equals that of solving every point, bit for bit: each
-    matrix that is solved is built in the same chunk of _CHUNK points, by
-    the same product, as in a full sweep, the points are solved in flat
-    order, and LAPACK solves the matrices one by one. This rests on the
-    eigensolver erring by less than the slack at the points left out (see
-    the threshold below).
+    a grid matrix, so it is at most the maximum that a full sweep finds.
+    Whole cells of about ``_CELL_POINTS`` points go next, then the points
+    of the cells left, each a cell of one point, through the same bound
+    (``_live``): one matrix at each cell's centre is bounded by
+    ``_survivors`` with a starting error that covers every matrix the sweep
+    builds in the cell, so a cell whose bound is below the seed, less the
+    relative ``_SLACK``, holds only points of exact radius below it, and
+    none of its points is built. A point that no bound rules out is
+    eigen-solved, unless the sub-grid solved it already. A point left out
+    has an exact radius below the seed, hence below the maximum, so the
+    report equals that of solving every point, bit for bit: ``_closed_loops``
+    gives a point's matrix the same bits whichever points are built with
+    it, LAPACK solves the matrices one by one, and a tie goes to the lower
+    flat index. This rests on the eigensolver erring by less than the slack
+    at the points left out (see the threshold below).
     """
     if samples_per_dir < 2:
         raise GridSizeError("samples per direction must be >= 2")
@@ -394,70 +395,70 @@ def grid_verify(
         return GridReport(samples=1, worst_rho=rho, worst_mu=np.zeros(0),
                           all_stable=rho < 1.0, eigensolves=1)
 
-    # bound and solve blocks stay at a fixed size in memory whatever n is
+    # ``_live`` takes up to ``group`` matrices at a time, the points of
+    # ``step`` cells, and builds and bounds them in blocks of ``step``, so
+    # memory stays bounded whatever the grid's size
     step = max(1, _BLOCK_ENTRIES // A_cl.size)
+    group = _CELL_POINTS * step
 
     coarse = _sub_grid(shape)
-    seed_rho, seed_at = -np.inf, 0
-    for b in range(0, coarse.size, step):
-        flat = coarse[b:b + step]
-        mats = _closed_loops(A_cl, D, _grid_points(axes, shape, flat))
-        rho = np.abs(la.eigvals(mats)).max(axis=1)
-        top = int(np.argmax(rho))
-        if rho[top] > seed_rho:
-            seed_rho, seed_at = rho[top], int(flat[top])
+    mats = _closed_loops(A_cl, D, _grid_points(axes, shape, coarse))
+    rho = np.abs(la.eigvals(mats)).max(axis=1)
+    top = int(np.argmax(rho))
+    worst, worst_at, solved = float(rho[top]), int(coarse[top]), coarse.size
     # ``err`` covers the rounding in the squarings; the slack covers the
     # rest: evaluating nrm, err and the logarithms of the comparison moves
     # a bound by at most some 1e-13 relative, far below 1e-6. So a point
     # left out has an exact radius below the seed. Its eigensolver value
     # could still pass the seed only if the solver erred there by more than
     # the slack, which a backward stable solver does only at eigenvalues of
-    # condition number about 1e-6 / (n u), some 1e9, or more. The seed's
-    # point is solved again with the survivors, so the maximum found never
-    # drops below the seed.
-    floor = seed_rho * (1.0 - _SLACK)
-    cells = _live_cells(A_cl, D, axes, floor, step)
+    # condition number about 1e-6 / (n u), some 1e9, or more.
+    floor = worst * (1.0 - _SLACK)
 
-    worst = -np.inf
-    worst_mu = None
-    solved = 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        if cells is None:
-            todo = np.ones(stop - start, dtype=bool)
-        else:
-            todo = _live_points(cells, shape, start, stop)
-        seed = seed_at - start
-        if 0 <= seed < todo.size:
-            todo[seed] = True
-        todo = np.flatnonzero(todo)
-        if not todo.size:
+    # ||A||_F and each ||D_i||_F, bounded on the matrix scaled by 2^-s
+    with np.errstate(all="ignore"):
+        _, s = np.frexp(np.abs(W).max(axis=(1, 2)))
+        scaled = np.ldexp(W, -s[:, None, None])
+        norms = np.ldexp(_frobenius(scaled) + A_cl.shape[0] * _TINY,
+                         s) + _TINY
+    points = _cells(axes, [1] * len(axes))
+    # a cell spans ``edge`` points on each axis of more than one point, the
+    # largest edge with edge^q <= _CELL_POINTS for q such axes
+    q = sum(size > 1 for size in shape)
+    edge = max(e for e in range(1, _CELL_POINTS + 1) if e ** q <= _CELL_POINTS)
+    edges = [min(edge, size) for size in shape]
+    if max(edges) == 1:
+        blocks = (np.arange(b, min(b + group, total))
+                  for b in range(0, total, group))
+    else:
+        cells = _cells(axes, edges)
+        count = math.prod(c.size for c in cells[0])
+        live = np.concatenate([
+            b + np.flatnonzero(_live(A_cl, D, norms, cells,
+                                     np.arange(b, min(b + group, count)),
+                                     floor)[0])
+            for b in range(0, count, group)])
+        blocks = (_cell_points(part, edges, shape)
+                  for part in np.split(live, range(step, live.size, step)))
+    for flat in blocks:
+        # the sub-grid's points are solved already
+        at = np.minimum(np.searchsorted(coarse, flat), coarse.size - 1)
+        flat = flat[coarse[at] != flat]
+        kept, X = _live(A_cl, D, norms, points, flat, floor)
+        if not kept.any():
             continue
-        mu = _grid_points(axes, shape, np.arange(start, stop))
-        mats = _closed_loops(A_cl, D, mu)
-        solved_here = np.zeros(stop - start, dtype=bool)
-        for b in range(0, todo.size, step):
-            block = todo[b:b + step]
-            keep = block == seed
-            keep[_survivors(mats[block], floor)] = True
-            pick = block[keep]
-            if not pick.size:
-                continue
-            solved_here[pick] = True
-            rho = np.abs(la.eigvals(mats[pick])).max(axis=1)
-            idx = int(np.argmax(rho))
-            if rho[idx] > worst:
-                worst = float(rho[idx])
-                worst_mu = mu[pick[idx]].copy()
-        # a sub-grid point solved again counts once
-        again = coarse[(coarse >= start) & (coarse < stop)] - start
-        solved += solved_here.sum() - solved_here[again].sum()
+        pick, mats = flat[kept], X[kept]
+        solved += pick.size
+        rho = np.abs(la.eigvals(mats)).max(axis=1)
+        top = int(np.argmax(rho))
+        if rho[top] > worst or (rho[top] == worst and pick[top] < worst_at):
+            worst, worst_at = float(rho[top]), int(pick[top])
     return GridReport(
         samples=total,
         worst_rho=worst,
-        worst_mu=worst_mu,
+        worst_mu=_grid_points(axes, shape, [worst_at])[0],
         all_stable=worst < 1.0,
-        eigensolves=int(solved) + coarse.size,
+        eigensolves=solved,
     )
 
 

@@ -280,7 +280,9 @@ def direct_margin_matrix(A_cl, dirs, Q_eff, P, eta, bidirectional=False):
 def full_grid_sweep(A_cl, dirs, box, samples_per_dir):
     """(samples, worst_rho, worst_mu, all_stable) of an eigen-solve at every
     point of the tensor grid, in chunks of 65536 points in grid order; the
-    first point in grid order wins a tie.
+    first point in grid order wins a tie. Each matrix is built entry by
+    entry in direction order, A_cl and then mu_i D_i for each direction in
+    turn, so its bits do not depend on the chunk.
 
     An oracle for ``grid_verify``, which solves only the points that its
     radius bound cannot rule out; the two share only the grid axes.
@@ -295,7 +297,9 @@ def full_grid_sweep(A_cl, dirs, box, samples_per_dir):
     chunk = 65536
     for start in range(0, combos.shape[0], chunk):
         part = combos[start:start + chunk]
-        mats = A_cl[None, :, :] + np.tensordot(part, D, axes=(1, 0))
+        mats = np.repeat(A_cl[None], len(part), axis=0)
+        for i, D_i in enumerate(D):
+            mats += part[:, i, None, None] * D_i
         rho = np.abs(la.eigvals(mats)).max(axis=1)
         idx = int(np.argmax(rho))
         if rho[idx] > worst:

@@ -14,7 +14,7 @@ from multinoise import (
     simulate_second_moment,
     spectral_radius,
 )
-from multinoise.verify import (_rademacher_bits, _survivors,
+from multinoise.verify import (_closed_loops, _rademacher_bits, _survivors,
                                exact_moment_recursion)
 
 from conftest import (
@@ -64,7 +64,9 @@ def test_grid_verify_chunked_two_directions():
     rng = np.random.default_rng(55)
     A_cl, dirs = random_mss_instance(rng, 2, 2, 0.6)
     box = PerturbationBox(eta=[0.05, 0.05], psi=[], bidirectional=True)
-    report = grid_verify(A_cl, dirs, box, 300)  # > one 65536-point chunk
+    # 90,000 points: many blocks of cells and of points, and more than one
+    # of the oracle's chunks
+    report = grid_verify(A_cl, dirs, box, 300)
     assert report.samples == 300 * 300
     assert np.all(np.abs(report.worst_mu) <= 0.05)
     direct = spectral_radius(
@@ -75,14 +77,104 @@ def test_grid_verify_chunked_two_directions():
 
 
 def test_grid_verify_seed_just_past_a_chunk():
-    # at n = 3 a chunk of 65536 points ends in a partial block of 16; the
-    # seed, the far vertex, lies in the next chunk within a block's length
-    # of that partial block's start, and is solved in its own chunk
+    # the seed, the far vertex, lies past the oracle's first chunk of
+    # 65536 points, in the grid's last cell, which holds 8 points; the
+    # sweep keeps its radius and does not solve it again
     A_cl, dirs = 0.5 * np.eye(3), [(np.eye(3), 1.0)]
     box = PerturbationBox(eta=[0.3], psi=[], bidirectional=False)
     report = grid_verify(A_cl, dirs, box, 69_000)
     assert report.worst_mu[0] == multinoise.verify._grid_axes(box, 2)[0][-1]
     assert_sweep_matches_oracle(report, A_cl, dirs, box, 69_000)
+
+
+@pytest.mark.parametrize("block_entries", [16, 300])
+def test_grid_sweep_solves_the_same_points_in_any_blocks(monkeypatch,
+                                                         block_entries):
+    # rho^2 = 1 - mu_1^2 + (mu_2 / 20)^2 peaks on the line mu_1 = 0, off the
+    # sub-grid, so a band of cells along it stays live; small blocks spread
+    # them over many groups, and neither the report nor the points solved
+    # may depend on the blocking
+    A_cl = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    dirs = [(np.diag([1.0, -1.0]), 1.0), (0.05 * np.eye(2), 1.0)]
+    box = PerturbationBox(eta=[0.5, 0.5], psi=[], bidirectional=True)
+    want = grid_verify(A_cl, dirs, box, 61)
+    monkeypatch.setattr(multinoise.verify, "_BLOCK_ENTRIES", block_entries)
+    report = grid_verify(A_cl, dirs, box, 61)
+    assert report.eigensolves == want.eigensolves
+    assert report.worst_mu[0] == multinoise.verify._grid_axes(box, 61)[0][30]
+    assert_sweep_matches_oracle(report, A_cl, dirs, box, 61)
+
+
+@pytest.mark.parametrize("shape", [
+    (50,), (1, 50), (1, 50, 50), (50, 1, 50), (1, 1, 1, 1, 50),
+    (1, 3, 1, 3, 3, 1, 3, 3), (3,) * 8, (1, 1),
+])
+def test_sub_grid_spreads_over_the_axes_of_more_than_one_point(shape):
+    # the first four axes of more than one point hold both ends among their
+    # picks, later ones their far end alone, and one-point axes take no
+    # share of the about 16 points
+    at = np.unravel_index(multinoise.verify._sub_grid(shape), shape)
+    wide = [i for i, s in enumerate(shape) if s > 1]
+    assert at[0].size == (16 if wide else 1)
+    for i in wide[:4]:
+        assert {0, shape[i] - 1} <= set(at[i].tolist())
+    for i in wide[4:]:
+        assert set(at[i].tolist()) == {shape[i] - 1}
+
+
+def test_grid_verify_first_direction_zero_bound():
+    # the zero-bound axis comes first; the sub-grid still spreads its
+    # points over the other axis
+    rng = np.random.default_rng(9)
+    A_cl, dirs = random_mss_instance(rng, 3, 2, 0.6)
+    box = PerturbationBox(eta=[0.0, 0.3], psi=[], bidirectional=True)
+    report = grid_verify(A_cl, dirs, box, 300)
+    assert report.samples == 300 and report.worst_mu[0] == 0.0
+    assert_sweep_matches_oracle(report, A_cl, dirs, box, 300)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_closed_loops_of_gathered_points_equal_the_full_build(p):
+    # a matrix's bits depend on its point alone: one row, 22 rows or all of
+    # them shuffled build the same matrices as the whole set, and each is
+    # A_cl plus mu_i D_i for each direction in turn
+    rng = np.random.default_rng(60 + p)
+    for n in range(1, 9):
+        A_cl, D = rng.normal(size=(n, n)), rng.normal(size=(p, n, n))
+        D[:, 0, 0] = 0.0
+        mu = rng.uniform(-1.0, 1.0, size=(300, p))
+        mu[::7, 0] = 0.0
+        full = _closed_loops(A_cl, D, mu)
+        for k in range(300):
+            assert np.array_equal(_closed_loops(A_cl, D, mu[k:k + 1]),
+                                  full[k:k + 1])
+        for rows in (rng.choice(300, 22, replace=False),
+                     rng.permutation(300)):
+            assert np.array_equal(_closed_loops(A_cl, D, mu[rows]),
+                                  full[rows])
+        for k in (0, 7, 299):
+            want = A_cl.copy()
+            for i in range(p):
+                want = want + mu[k, i] * D[i]
+            assert np.array_equal(full[k], want)
+
+
+@pytest.mark.parametrize("A_cl, D, bidirectional, at", [
+    # the radius grows along the axis: the seed, the far end, stands
+    (0.5 * np.eye(2), np.eye(2), False, -1),
+    # rho = sqrt(1 - mu^2) peaks at mu = 0, off the sub-grid, where the
+    # point pass finds it
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([1.0, -1.0]), True, 30),
+])
+def test_grid_report_fields_are_python_scalars(A_cl, D, bidirectional, at):
+    box = PerturbationBox(eta=[0.5], psi=[], bidirectional=bidirectional)
+    report = grid_verify(A_cl, [(D, 1.0)], box, 61)
+    assert report.worst_mu[0] == multinoise.verify._grid_axes(box, 61)[0][at]
+    assert type(report.worst_rho) is float
+    assert type(report.all_stable) is bool
+    assert type(report.eigensolves) is int
+    assert type(report.samples) is int
+    assert_sweep_matches_oracle(report, A_cl, [(D, 1.0)], box, 61)
 
 
 def test_grid_verify_many_directions():
@@ -120,14 +212,17 @@ def test_grid_sweep_matches_full_sweep_on_random_boxes(p, samples,
 
 def test_cells_leave_few_points_of_the_pendulum_grid(monkeypatch, pendulum,
                                                      pendulum_alg1):
-    # the centres' bounds carry a starting error; the points' do not
+    # cells and points go through one bound; a cell of one point has as
+    # many centres on its axis as the grid has points
     seen = {"cells": 0, "points": 0}
+    live = multinoise.verify._live
 
-    def counted(mats, floor, err0=0.0):
-        seen["cells" if np.ndim(err0) else "points"] += len(mats)
-        return _survivors(mats, floor, err0)
+    def counted(A_cl, D, norms, cells, flat, floor):
+        size = 10**6 // cells[0][0].size
+        seen["points" if size == 1 else "cells"] += len(flat)
+        return live(A_cl, D, norms, cells, flat, floor)
 
-    monkeypatch.setattr(multinoise.verify, "_survivors", counted)
+    monkeypatch.setattr(multinoise.verify, "_live", counted)
     noise = pendulum.noise.with_variances([pendulum_alg1.z_star], [])
     A_cl, dirs = closed_loop_substitution(pendulum.system, noise,
                                           pendulum_alg1.K)
@@ -144,6 +239,7 @@ def test_cells_leave_few_points_of_the_pendulum_grid(monkeypatch, pendulum,
     (_GENERIC, [np.zeros((3, 3))], [0.4], True),
     # a zero-bound direction contributes the single point 0
     (_GENERIC, [np.eye(3), _GENERIC.T], [0.3, 0.0], True),
+    (_GENERIC, [_GENERIC.T, np.eye(3)], [0.0, 0.3], True),
     # an unstable box
     (_GENERIC, [np.eye(3)], [0.8], False),
     # non-normal blocks: at 1e6 the bound's powers underflow and every
@@ -154,8 +250,8 @@ def test_cells_leave_few_points_of_the_pendulum_grid(monkeypatch, pendulum,
     # entries near underflow and near overflow
     (1e-200 * _GENERIC, [1e-200 * np.eye(3)], [0.5], True),
     (1e200 * _GENERIC, [1e200 * np.eye(3)], [0.5], True),
-], ids=["zero-dir", "zero-dir-bi", "zero-bound", "unstable", "non-normal",
-        "non-normal-two", "tiny", "huge"])
+], ids=["zero-dir", "zero-dir-bi", "zero-bound", "zero-bound-first",
+        "unstable", "non-normal", "non-normal-two", "tiny", "huge"])
 def test_grid_sweep_matches_full_sweep_on_edge_cases(A_cl, mats, eta,
                                                      bidirectional):
     dirs = [(D, 1.0) for D in mats]
