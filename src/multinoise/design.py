@@ -15,9 +15,13 @@ margin methods use: the shared-Lyapunov box on the Riccati P for the first,
 the auxiliary-system box for the second.
 
 Each bisection asks for the points of its next few steps at once, and
-their Riccati probes run as one stacked value iteration; the bisection then
-reads the verdicts it would have probed one at a time and drops the rest,
-so the stacking changes how long a design takes, never what it returns.
+their Riccati probes run as one stacked value iteration that returns one
+verdict per point, a call with no arguments. The bisection calls the
+verdicts it would have probed one at a time and no others, so a member's
+closed-loop check runs, and its numerical failure is raised, only if the
+bisection reads it: the stacking changes how long a design takes, never
+what it returns. A true plant is checked against the nominal one before
+any probe.
 
 Runs are deterministic: identical inputs and options produce bit-identical
 gains.
@@ -26,11 +30,12 @@ gains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, UnstabilizableError
-from .gare import (GareOptions, GareSolution, _feasible_stack,
+from .errors import DimensionError, UnstabilizableError
+from .gare import (GareOptions, GareSolution, _probe_stack,
                    feasible_gare_solution)
 from .margins import (
     BisectOptions,
@@ -50,6 +55,7 @@ from .model import (
     TrueSystem,
     UncertaintyStructure,
     _check_options,
+    _check_true_shapes,
     closed_loop_substitution,
 )
 from .verify import grid_verify
@@ -155,6 +161,7 @@ def certainty_equivalent(
 ) -> DesignResult:
     """Baseline design on the nominal model, ignoring all uncertainty."""
     opts = opts or DesignOptions()
+    _check_true_shapes(sys, true_system)
     noise = NoiseModel()
     sol = feasible_gare_solution(sys, noise, costs, opts.gare)
     if sol is None:
@@ -207,6 +214,7 @@ def design_algorithm_1(
     evaluated on the closed loop with the input directions folded in.
     """
     opts = opts or DesignOptions()
+    _check_true_shapes(sys, true_system)
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
 
     def noise_at(z: float) -> NoiseModel:
@@ -214,9 +222,9 @@ def design_algorithm_1(
 
     def feasible_z(
         zs: tuple[float, ...],
-    ) -> list[GareSolution | NumericalError | None]:
-        return _feasible_stack([sys] * len(zs), [noise_at(z) for z in zs],
-                               costs, opts.gare)
+    ) -> list[Callable[[], GareSolution | None]]:
+        return _probe_stack([sys] * len(zs), [noise_at(z) for z in zs],
+                            costs, opts.gare)
 
     # the bisection probes z = 0 first; no witness means none at 0
     z_star, z_cap, sol = bisect_max_feasible(feasible_z, opts.bisect)
@@ -257,18 +265,19 @@ def design_algorithm_2(
     the optimal gain of the auxiliary problem at the largest feasible y.
     """
     opts = opts or DesignOptions()
+    _check_true_shapes(sys, true_system)
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
     w, p = structure.weights, structure.p
 
     def feasible_y(
         ys: tuple[float, ...],
-    ) -> list[GareSolution | NumericalError | None]:
+    ) -> list[Callable[[], GareSolution | None]]:
         systems, noises = [], []
         for y in ys:
             z, var = _aux_scaling(y, w)
             systems.append(NominalSystem(A=z * sys.A, B=z * sys.B))
             noises.append(base.with_variances(var[:p], var[p:]))
-        return _feasible_stack(systems, noises, costs, opts.gare)
+        return _probe_stack(systems, noises, costs, opts.gare)
 
     # the bisection probes y = 0 first; no witness means none at 0
     y_star, y_cap, sol = bisect_max_feasible(feasible_y, opts.bisect)

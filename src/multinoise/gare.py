@@ -8,11 +8,11 @@ R + B^T P B + ...]] (Damm, *Rational Matrix Equations in Stochastic
 Control*, 2004): one matrix-vector product gives the lower triangle of Z
 from svec(P), and m elimination steps on that vector leave svec of the
 next iterate, with no linear solve until the gain at convergence.
-The iterates are computed in blocks, 8 first and then doubling up to 64,
-and the stopping rule and the divergence test are evaluated once per block
-for all of its iterates; the solve returns at the first iterate that meets
-either, so its result is the per-step rule's, with at most 63 iterates
-computed past the stop and discarded.
+The iterates are computed in blocks of 32, and the stopping rule and the
+divergence test are evaluated once per block for all of its iterates; the
+solve returns at the first iterate that meets either, so its result is the
+per-step rule's, with at most 31 iterates computed past the stop and
+discarded.
 The iteration runs on a stack of problems that share n, m and the costs,
 such as the design bisections' probes at several noise levels: each
 iteration is one stacked matrix-vector product and the pivots of every
@@ -33,16 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from typing import Sequence
+from functools import cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.linalg as la
 
 from .errors import NumericalError
 from .matops import symmetrize
-from .model import (CostPair, NoiseModel, NominalSystem, _check_dir_shapes,
-                    _check_options, closed_loop_substitution)
+from .model import (CostPair, NoiseModel, NominalSystem, _check_cost_shapes,
+                    _check_dir_shapes, _check_options,
+                    closed_loop_substitution)
 from .stability import (
     _mss_holds, _svec_lift, _svec_map_lift, _svec_maps, _unsvec,
 )
@@ -65,10 +66,10 @@ class GareOptions:
     probes read divergence and the iteration cap alike as infeasible;
     :attr:`GareSolution.status` says which limit stopped the iteration.
 
-    Both tests are evaluated once per block of iterates (8, then doubling
-    up to 64), and the solve stops at the first iterate of the block that
-    meets either, so the result equals the per-step rule's: the same
-    stopping iterate, with at most 63 iterates discarded per solve.
+    Both tests are evaluated once per block of 32 iterates, and the solve
+    stops at the first iterate of the block that meets either, so the
+    result equals the per-step rule's: the same stopping iterate, with at
+    most 31 iterates discarded per solve.
     ``tol_abs`` and ``tol_rel`` must be finite and >= 0, ``blowup`` finite
     and > 0, and ``max_iter`` an integer >= 1, or building the options
     raises ``ValueError`` naming the field.
@@ -109,12 +110,11 @@ class GareSolution:
 #: the options of a solve given none; frozen, so every such solve shares it
 _DEFAULT_OPTIONS = GareOptions()
 
-#: block sizes of the value iteration: the first block, doubled per block
-#: up to the last. The tests cost a few array calls per block, and a stop
-#: discards the rest of its block, at most _LAST_BLOCK - 1 iterates, which
-#: solves that stop within a few dozen iterations feel most
-_FIRST_BLOCK = 8
-_LAST_BLOCK = 64
+#: iterates per block of the value iteration. The tests cost a few array
+#: calls per block, and a stop discards the rest of its block, at most
+#: _BLOCK - 1 iterates, which solves that stop within a few dozen
+#: iterations feel most
+_BLOCK = 32
 
 
 @cache
@@ -176,33 +176,21 @@ class _Stack:
     every pivot reads and writes whole rows. Its first N entries are svec
     of the iterate once the pivots are done, and row 0 is the last iterate
     of the previous block, ``x0`` at the start. The views of each row that
-    an iteration uses are built once, as the blocks grow."""
+    an iteration uses are built once: the row, as the matmul's (b, K, 1)
+    output and its first N entries as the next matmul's input, and per
+    pivot the row's target and divisor with the pivot's index maps."""
 
     def __init__(self, S, const, x0, N: int, pivots):
         b, K, _ = S.shape
         self.S = S
         self.const = np.repeat(const[:, None], b, axis=1)
-        self.buf = np.empty((_LAST_BLOCK + 1, K, b))
-        self.buf[0, :N] = x0
-        self.N, self.pivots = N, pivots
-        self.z, self.out, self.x = [], [], []
-        self.elims = [([], [], ik, jk) for _, _, ik, jk in pivots]
-
-    def rows(self, size: int):
-        """Views of rows 0..size: each row, as the matmul's (b, K, 1)
-        output and its first N entries as the next matmul's input, and per
-        pivot the row's target and divisor with the pivot's index maps."""
-        if len(self.z) <= size:
-            rows = self.buf[len(self.z):size + 1]
-            by_member = rows.transpose(0, 2, 1)[..., None]
-            self.z.extend(rows)
-            self.out.extend(by_member)
-            self.x.extend(by_member[:, :, :self.N])
-            for (targets, divisors, _, _), (base, kk, _, _) in zip(
-                    self.elims, self.pivots):
-                targets.extend(rows[:, :base])
-                divisors.extend(rows[:, kk])
-        return self.z, self.out, self.x, self.elims
+        self.buf = buf = np.empty((_BLOCK + 1, K, b))
+        buf[0, :N] = x0
+        by_member = buf.transpose(0, 2, 1)[..., None]
+        self.z, self.out = list(buf), list(by_member)
+        self.x = list(by_member[:, :, :N])
+        self.elims = [(list(buf[:, :base]), list(buf[:, kk]), ik, jk)
+                      for base, kk, ik, jk in pivots]
 
 
 def _solve_stack(
@@ -225,6 +213,7 @@ def _solve_stack(
     opts = opts or _DEFAULT_OPTIONS
     for sys, noise in zip(systems, noises):
         _check_dir_shapes(sys, noise)
+        _check_cost_shapes(sys, costs)
     if la.eigvalsh(symmetrize(costs.Q))[0] <= 0:
         raise ValueError("Q must be positive definite for the value iteration")
     n, m = systems[0].n, systems[0].m
@@ -245,13 +234,13 @@ def _solve_stack(
     results: list = [None] * len(S)
     members = list(range(len(S)))  # stack column -> member
     stack = _Stack(S, const, q[:, None], N, pivots)
-    iterations, size = 0, _FIRST_BLOCK
+    iterations = 0
     # iterates past a stop are discarded; they may overflow harmlessly
     with np.errstate(all="ignore"):
         while iterations < opts.max_iter:
-            size = min(size, opts.max_iter - iterations)
+            size = min(_BLOCK, opts.max_iter - iterations)
             S, const_b, buf = stack.S, stack.const, stack.buf
-            zs, outs, ins, elims = stack.rows(size)
+            zs, outs, ins, elims = stack.z, stack.out, stack.x, stack.elims
             for i in range(1, size + 1):
                 z = zs[i]
                 np.matmul(S, ins[i - 1], out=outs[i])
@@ -276,7 +265,6 @@ def _solve_stack(
                 stop |= failed
             if not stop.any():
                 buf[0] = buf[size]
-                size = min(2 * size, _LAST_BLOCK)
                 continue
             hits = stop.any(axis=0).tolist()
             for b, i in enumerate(stop.argmax(axis=0).tolist()):
@@ -304,7 +292,6 @@ def _solve_stack(
             members = [members[b] for b in going]
             stack = _Stack(S[going], const, buf[size, :N][:, going], N,
                            pivots)
-            size = min(2 * size, _LAST_BLOCK)
     for mb in members:
         results[mb] = GareSolution(P=None, K=None, iterations=iterations,
                                    status="iteration_cap")
@@ -332,35 +319,37 @@ def solve_gare(
     separately by :func:`feasible_gare_solution`. This is the one-member
     case of the stacked value iteration that the design bisections run.
     """
-    return _raised(_solve_stack([sys], [noise], costs, opts)[0])
+    sol = _solve_stack([sys], [noise], costs, opts)[0]
+    if isinstance(sol, NumericalError):
+        raise sol
+    return sol
 
 
-def _feasible_stack(
+def _verdict(sys: NominalSystem, noise: NoiseModel,
+             result: GareSolution | NumericalError) -> GareSolution | None:
+    """The probe's verdict on one member's result: its NumericalError
+    raised; else the solution if it converged and its gain's closed loop is
+    mean-square stable, and None if not."""
+    if isinstance(result, NumericalError):
+        raise result
+    if not result.converged:
+        return None
+    A_cl, dirs = closed_loop_substitution(sys, noise, result.K)
+    return result if _mss_holds(A_cl, dirs) else None
+
+
+def _probe_stack(
     systems: Sequence[NominalSystem],
     noises: Sequence[NoiseModel],
     costs: CostPair,
     opts: GareOptions | None = None,
-) -> list[GareSolution | NumericalError | None]:
-    """:func:`feasible_gare_solution` of each member of a stack, from one
-    :func:`_solve_stack`; a member's pivot failure is returned, not raised,
-    so that a bisection raises it only if it reads that member."""
-    verdicts = []
-    for sys, noise, sol in zip(systems, noises,
-                               _solve_stack(systems, noises, costs, opts)):
-        if isinstance(sol, GareSolution) and not _stabilizes(sys, noise, sol):
-            sol = None
-        verdicts.append(sol)
-    return verdicts
-
-
-def _stabilizes(sys: NominalSystem, noise: NoiseModel,
-                sol: GareSolution) -> bool:
-    """The solve converged and its gain's closed loop is mean-square
-    stable."""
-    if not sol.converged:
-        return False
-    A_cl, dirs = closed_loop_substitution(sys, noise, sol.K)
-    return _mss_holds(A_cl, dirs)
+) -> list[Callable[[], GareSolution | None]]:
+    """:func:`feasible_gare_solution` of each member of a stack as a call
+    with no arguments, from one :func:`_solve_stack`: a member's
+    closed-loop check runs, and its pivot failure is raised, only when its
+    verdict is called, so a bisection decides only the members it reads."""
+    return [partial(_verdict, sys, noise, sol) for sys, noise, sol in
+            zip(systems, noises, _solve_stack(systems, noises, costs, opts))]
 
 
 def feasible_gare_solution(
@@ -370,13 +359,7 @@ def feasible_gare_solution(
     opts: GareOptions | None = None,
 ) -> GareSolution | None:
     """Converged solution whose closed loop is mean-square stable, else
-    None: the probe of the design bisections, which run it on a stack of
-    noise levels at once."""
-    return _raised(_feasible_stack([sys], [noise], costs, opts)[0])
-
-
-def _raised(result):
-    """A member's result, or its NumericalError raised."""
-    if isinstance(result, NumericalError):
-        raise result
-    return result
+    None; a pivot failure raises :class:`NumericalError`. The probe of the
+    design bisections, which run it on a stack of noise levels at once and
+    decide only the members they read."""
+    return _probe_stack([sys], [noise], costs, opts)[0]()

@@ -114,7 +114,7 @@ _GROWTH = (0.0,) + tuple(2.0 ** k
 #: points asked for at once while the bracket grows, and levels of
 #: midpoints (2^levels - 1 points) while it shrinks: one stacked probe of a
 #: design bisection costs about its slowest member, and the verdicts the
-#: walk does not reach are discarded
+#: walk does not reach are never called
 _GROWTH_BATCH = 4
 _LEVELS = 3
 
@@ -132,36 +132,29 @@ def _midpoints(lo: float, hi: float, rel_tol: float,
             + _midpoints(mid, hi, rel_tol, levels - 1))
 
 
-def _consulted(verdict):
-    """A verdict the walk reads: an exception stands for a probe that
-    failed, and is raised only now."""
-    if isinstance(verdict, Exception):
-        raise verdict
-    return verdict
-
-
 def bisect_max_feasible(
-    feasible: Callable[[tuple[float, ...]], Sequence[_W | Exception | None]],
+    feasible: Callable[[tuple[float, ...]], Sequence[Callable[[], _W | None]]],
     opts: BisectOptions | None = None,
 ) -> tuple[float, bool, _W | None]:
     """Largest y >= 0 with a truthy verdict, for predicates that are
     monotone nonincreasing in y.
 
     ``feasible`` takes a tuple of y values and returns one verdict per
-    value: a truthy witness, a falsy value, or an exception, which is
-    raised if and when the walk reads that verdict. The bracket starts at
+    value, a call with no arguments that decides its point: it returns a
+    truthy witness or a falsy value, or raises. The bracket starts at
     [0, 1] and its upper end doubles until a probe fails; it then halves
     until it is no wider than ``rel_tol * hi + 1e-12``, or no float is
-    left between its ends. Each call asks for the points of several steps
-    at once: the next 4 points of the doubling (0 first, never past
-    :data:`BRACKET_CAP`), then the 7 midpoints of the next 3 halvings,
-    whichever way each goes. The walk then reads the verdicts exactly as a
-    one-point-at-a-time bisection would, so it visits the same points and
-    returns the same result; only the verdicts it reads decide anything.
+    left between its ends. Each call of ``feasible`` asks for the points
+    of several steps at once: the next 4 points of the doubling (0 first,
+    never past :data:`BRACKET_CAP`), then the 7 midpoints of the next 3
+    halvings, whichever way each goes. The walk then calls the verdicts of
+    exactly the points a one-point-at-a-time bisection would probe, in its
+    order, so it returns the same result; the other verdicts are never
+    called, and whatever they would decide or raise stays undone.
 
     Returns ``(y, cap_hit, witness)``: y was itself evaluated feasible,
-    ``witness`` is the verdict returned for y, and ``cap_hit`` says y is
-    :data:`BRACKET_CAP`. If even y = 0 is infeasible, returns
+    ``witness`` is what the verdict of y returned, and ``cap_hit`` says y
+    is :data:`BRACKET_CAP`. If even y = 0 is infeasible, returns
     (0.0, False, None) without claiming feasibility.
     """
     rel_tol = (opts or BisectOptions()).rel_tol
@@ -173,7 +166,7 @@ def bisect_max_feasible(
     for k, hi in enumerate(_GROWTH):
         if hi not in verdicts:
             verdicts = ask(_GROWTH[k:k + _GROWTH_BATCH])
-        if not (probe := _consulted(verdicts[hi])):
+        if not (probe := verdicts[hi]()):
             break
         lo, witness = hi, probe
     else:
@@ -187,7 +180,7 @@ def bisect_max_feasible(
             break
         if mid not in verdicts:
             verdicts = ask(_midpoints(lo, hi, rel_tol, _LEVELS))
-        if probe := _consulted(verdicts[mid]):
+        if probe := verdicts[mid]():
             lo, witness = mid, probe
         else:
             hi = mid

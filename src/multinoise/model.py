@@ -267,6 +267,29 @@ def _check_dir_shapes(sys: NominalSystem, noise: NoiseModel) -> None:
                 raise DimensionError(f"{name}[{i}] shape {D.shape} != ({sys.n},{m})")
 
 
+def _check_cost_shapes(sys: NominalSystem, costs: CostPair) -> None:
+    """Q is n x n and R is m x m; CostPair lacks the plant."""
+    for name, M, k in (("Q", costs.Q, sys.n), ("R", costs.R, sys.m)):
+        if M.shape != (k, k):
+            raise DimensionError(
+                f"{name} must be {k}x{k} to match the plant, got shape "
+                f"{M.shape}")
+
+
+def _check_true_shapes(sys: NominalSystem,
+                       true_system: TrueSystem | None) -> None:
+    """A_bar and B_bar have the shapes of A and B; TrueSystem lacks the
+    nominal plant. None passes."""
+    if true_system is None:
+        return
+    for name, M, shape in (("A_bar", true_system.A_bar, sys.A.shape),
+                           ("B_bar", true_system.B_bar, sys.B.shape)):
+        if M.shape != shape:
+            raise DimensionError(
+                f"{name} must be {shape[0]}x{shape[1]} to match the plant, "
+                f"got shape {M.shape}")
+
+
 def closed_loop_substitution(
     sys: NominalSystem, noise: NoiseModel, K
 ) -> tuple[np.ndarray, DirList]:

@@ -33,6 +33,8 @@ from .model import (
     PerturbationBox,
     TrueSystem,
     UncertaintyStructure,
+    _check_cost_shapes,
+    _check_true_shapes,
 )
 
 __all__ = [
@@ -217,6 +219,7 @@ def parse_problem(data: dict) -> Problem:
     system = _named("field 'A'/'B'", NominalSystem,
                     A=_matrix(data, "A"), B=_matrix(data, "B"))
     true_system = _optional_pair(data, TrueSystem, "A_bar", "B_bar")
+    _named("field 'A_bar'/'B_bar'", _check_true_shapes, system, true_system)
 
     n, m = system.n, system.m
     # more state directions than entries of A is the constructor's error
@@ -238,9 +241,11 @@ def parse_problem(data: dict) -> Problem:
                 "field 'theta'/'phi': lengths must match A_dirs/B_dirs"
             )
 
+    costs = _optional_pair(data, CostPair, "Q", "R")
+    if costs is not None:
+        _named("field 'Q'/'R'", _check_cost_shapes, system, costs)
     problem = Problem(system=system, noise=noise, true_system=true_system,
-                      structure=structure,
-                      costs=_optional_pair(data, CostPair, "Q", "R"))
+                      structure=structure, costs=costs)
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ProblemFormatError("field 'options': expected an object")

@@ -239,7 +239,7 @@ def nlmi_bracket(A_cl, dirs, q_matrix, P, w, bidirectional=False):
         verdicts = [nlmi_feasible(A_cl, dirs, q_matrix, P, y * w,
                                   bidirectional) for y in ys]
         infeasible.extend(y for y, ok in zip(ys, verdicts) if not ok)
-        return verdicts
+        return [lambda ok=ok: ok for ok in verdicts]
 
     lo, cap_hit, _ = bisect_max_feasible(feasible,
                                          BisectOptions(rel_tol=1e-9))

@@ -106,6 +106,30 @@ def test_direction_shape_mismatch_exit_two(tmp_path, capsys, field, value,
     assert f"field '{name}'" in err and "1x1" in err
 
 
+@pytest.mark.parametrize("fields, name, shape", [
+    ({"Q": np.eye(3).tolist()}, "Q", "2x2"),
+    ({"Q": [[1.0]]}, "Q", "2x2"),
+    ({"R": np.eye(2).tolist()}, "R", "1x1"),
+    ({"A_bar": np.eye(3).tolist(), "B_bar": [[0.0], [0.1], [0.0]]},
+     "A_bar", "2x2"),
+    ({"B_bar": [[0.0, 0.0], [0.1, 0.0]]}, "B_bar", "2x1"),
+])
+@pytest.mark.parametrize("argv", [["solve-gare"], ["design", "--algo", "1"],
+                                  ["design", "--algo", "ce"]])
+def test_cost_and_true_plant_shape_mismatch_exit_two(tmp_path, capsys, fields,
+                                                     name, shape, argv):
+    # the pendulum has n = 2 and m = 1; costs and a true plant of other
+    # shapes are named by their field before any solve
+    doc = pendulum_doc()
+    doc.update(fields)
+    path = write_problem(tmp_path, doc)
+    assert main([argv[0], path, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    pair = "'Q'/'R'" if name in ("Q", "R") else "'A_bar'/'B_bar'"
+    assert f"field {pair}: {name} must be {shape}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "method", ["shared-uni", "shared-bi", "aux", "cons-lin", "cons-simple"]
 )

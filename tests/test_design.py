@@ -9,9 +9,12 @@ from multinoise import (
     BisectOptions,
     CostPair,
     DesignOptions,
+    DimensionError,
     MarginMethod,
     NoiseModel,
     NominalSystem,
+    NumericalError,
+    TrueSystem,
     UncertaintyStructure,
     UnstabilizableError,
     certainty_equivalent,
@@ -24,10 +27,11 @@ from multinoise import (
 from multinoise import gare
 from multinoise.design import _grid_samples
 from multinoise.gare import feasible_gare_solution
-from multinoise.margins import _aux_scaling
+from multinoise.margins import _aux_scaling, bisect_max_feasible
 from multinoise.stability import _mss_holds
 
-from conftest import direct_margin_matrix, perturbed_matrix
+from conftest import (direct_margin_matrix, perturbed_matrix,
+                      sequential_bisect)
 
 
 
@@ -225,6 +229,39 @@ def test_design_rejects_nan_bisection_tolerance(pendulum):
                            pendulum.structure, opts)
 
 
+def test_certainty_equivalent_checks_costs_against_the_plant(pendulum):
+    with pytest.raises(DimensionError, match="Q must be 2x2"):
+        certainty_equivalent(pendulum.system,
+                             CostPair(Q=np.eye(3), R=np.eye(1)))
+    with pytest.raises(DimensionError, match="R must be 1x1"):
+        certainty_equivalent(pendulum.system,
+                             CostPair(Q=np.eye(2), R=np.eye(2)))
+
+
+@pytest.mark.parametrize("A_bar, B_bar, message", [
+    (np.eye(3), np.ones((3, 1)), "A_bar must be 2x2"),
+    (np.eye(2), np.ones((2, 2)), "B_bar must be 2x1"),
+])
+@pytest.mark.parametrize("design", [certainty_equivalent, design_algorithm_1,
+                                    design_algorithm_2])
+def test_designs_check_the_true_plant_before_any_probe(
+        pendulum, monkeypatch, A_bar, B_bar, message, design):
+    # TrueSystem checks only itself; a design checks it against the plant
+    # before it solves anything, not when the diagnostics first use it
+    calls = []
+    solve = gare._solve_stack
+    monkeypatch.setattr(gare, "_solve_stack",
+                        lambda *args: calls.append(1) or solve(*args))
+    true_system = TrueSystem(A_bar=A_bar, B_bar=B_bar)
+    args = (pendulum.system, pendulum.costs)
+    if design is not certainty_equivalent:
+        args += ([D for D, _ in pendulum.noise.a_dirs], [],
+                 pendulum.structure)
+    with pytest.raises(DimensionError, match=message):
+        design(*args, DesignOptions(gare=pendulum.gare_options), true_system)
+    assert not calls
+
+
 def test_controllability_rank_invariant_under_scaling():
     rng = np.random.default_rng(41)
     for _ in range(10):
@@ -350,3 +387,110 @@ def test_design_over_the_diagnostic_grid_budget_reports_no_box_radius(algo):
     assert res.y_star > 0 and not res.cap_hit
     assert res.diagnostics.worst_box_rho is None
     assert res.diagnostics.rho_closed_loop < 1.0
+
+
+def _seeded_design_plant(seed):
+    """A seeded n = 3 plant with one state and one input direction, its
+    costs and its uncertainty structure."""
+    rng = np.random.default_rng(seed)
+    n, m = 3, int(rng.integers(1, 3))
+    sys = NominalSystem(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
+    a_mats = [rng.normal(size=(n, n)) / n]
+    b_mats = [rng.normal(size=(n, m)) / n]
+    structure = UncertaintyStructure(theta=[1.0], phi=[0.5])
+    return sys, CostPair(Q=np.eye(n), R=np.eye(m)), a_mats, b_mats, structure
+
+
+def _one_point_probe(algo, sys, costs, a_mats, b_mats, structure, opts):
+    """The Riccati probe that the design's bisection asks for at one
+    point, built on feasible_gare_solution."""
+    base = NoiseModel(a_dirs=[(D, 0.0) for D in a_mats],
+                      b_dirs=[(D, 0.0) for D in b_mats])
+    p = structure.p
+
+    def probe(x):
+        if algo is design_algorithm_1:
+            noise = base.with_variances(x * structure.theta, x * structure.phi)
+            return feasible_gare_solution(sys, noise, costs, opts)
+        z, var = _aux_scaling(x, structure.weights)
+        scaled = NominalSystem(A=z * sys.A, B=z * sys.B)
+        return feasible_gare_solution(
+            scaled, base.with_variances(var[:p], var[p:]), costs, opts)
+
+    return probe
+
+
+def _count_checks(monkeypatch):
+    """Calls of the probes' closed-loop check, counted from now on."""
+    checks = []
+    monkeypatch.setattr(gare, "_mss_holds",
+                        lambda *args: checks.append(1) or _mss_holds(*args))
+    return checks
+
+
+@pytest.mark.parametrize("algo", [design_algorithm_1, design_algorithm_2])
+@pytest.mark.parametrize("plant", ["pendulum", 5, 8])
+def test_designs_check_only_the_probes_their_bisection_reads(
+        pendulum, monkeypatch, algo, plant):
+    # a design checks the closed loop of exactly the converged probes that
+    # a one-point-at-a-time bisection reads, though its stacked calls
+    # solve members that the walk never reads
+    if plant == "pendulum":
+        instance = (pendulum.system, pendulum.costs,
+                    [D for D, _ in pendulum.noise.a_dirs], [],
+                    pendulum.structure)
+    else:
+        instance = _seeded_design_plant(plant)
+    opts = DesignOptions(gare=pendulum.gare_options,
+                         bisect=pendulum.bisect_options)
+    checks = _count_checks(monkeypatch)
+    res = algo(*instance, opts)
+    design_checks = len(checks)
+    checks.clear()
+    x, cap_hit, _ = sequential_bisect(
+        _one_point_probe(algo, *instance, opts.gare), opts.bisect.rel_tol)
+    assert design_checks == len(checks) > 0
+    assert x == (res.z_star if algo is design_algorithm_1 else res.y_star)
+    assert cap_hit is res.cap_hit
+
+
+def test_an_unread_member_that_fails_its_pivot_raises_nothing(monkeypatch):
+    # the first stacked call asks for y = 0, 1, 2 and 4, and the walk reads
+    # 0, 1 and 2 only, since the frontier lies at 1.7: the member at y = 4
+    # fails its pivot (test_inner_matrix_that_rounds_to_singular's plant),
+    # and nothing is raised. Unread members below the frontier converge
+    # and are never checked
+    costs = CostPair(Q=[[1.0]], R=np.eye(2))
+    opts = gare.GareOptions(max_iter=300)
+    converging = NominalSystem(A=[[0.5]], B=[[1.0, 0.5]])
+    diverging = NominalSystem(A=[[3.0]], B=[[0.0, 0.0]])
+    failing = NominalSystem(A=[[1.0]], B=[[1e9, 1e9]])
+    with pytest.raises(NumericalError, match="not positive definite"):
+        gare.solve_gare(failing, NoiseModel(), costs, opts)
+
+    def system_at(y):
+        return failing if y == 4.0 else converging if y <= 1.7 else diverging
+
+    def feasible(ys):
+        return gare._probe_stack([system_at(y) for y in ys],
+                                 [NoiseModel()] * len(ys), costs, opts)
+
+    converged, solve = [], gare._solve_stack
+
+    def counted(*args):
+        results = solve(*args)
+        converged.extend(sol for sol in results
+                         if not isinstance(sol, NumericalError)
+                         and sol.converged)
+        return results
+
+    monkeypatch.setattr(gare, "_solve_stack", counted)
+    checks = _count_checks(monkeypatch)
+    y, cap_hit, witness = bisect_max_feasible(feasible)
+    assert not cap_hit and witness is not None
+    assert y == pytest.approx(1.7, rel=2e-6)
+    read_checks = len(checks)
+    checks.clear()
+    assert sequential_bisect(lambda y: feasible_gare_solution(
+        system_at(y), NoiseModel(), costs, opts))[0] == y
+    assert read_checks == len(checks) < len(converged)

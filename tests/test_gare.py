@@ -306,20 +306,27 @@ def test_a_member_that_fails_its_pivot_leaves_the_others_alone():
     statuses = [assert_matches_stepwise(systems[i], noises[i], costs, opts,
                                         stack[i]) for i in healthy]
     assert statuses == ["converged", "blowup", "iteration_cap"]
-    # the probes of the design bisections pass the failure on unraised
-    verdicts = gare._feasible_stack(systems, noises, costs, opts)
-    assert isinstance(verdicts[1], NumericalError)
-    assert verdicts[0] is not None and verdicts[2:] == [None, None]
+    # the probes of the design bisections raise the failure only when its
+    # verdict is called
+    verdicts = gare._probe_stack(systems, noises, costs, opts)
+    assert verdicts[0]() is not None
+    assert [verdict() for verdict in verdicts[2:]] == [None, None]
+    with pytest.raises(NumericalError, match="not positive definite"):
+        verdicts[1]()
 
 
-@pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 23, 24, 25, 55, 56, 57,
+@pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 23, 24, 25, 31, 32, 33,
+                                      55, 56, 57, 63, 64, 65, 95, 96, 97,
                                       119, 120, 121])
 @pytest.mark.parametrize("seed, status, stop", [(38, "converged", 94),
                                                (35, "blowup", 58)])
 def test_iteration_cap_at_block_edges_matches_the_per_step_loop(
         max_iter, seed, status, stop):
-    # blocks of 8, 16, 32 and 64 iterates end at iterations 8, 24, 56 and
-    # 120; at the defaults each plant stops by its status at ``stop``
+    # blocks of 32 iterates end at iterations 32, 64 and 96, and the caps
+    # around them cut a block at, just before and just after its end; the
+    # other caps cut a block in its middle. At the defaults each plant
+    # stops by its status at ``stop``
+    assert gare._BLOCK == 32
     got = assert_matches_stepwise(*seeded_plant(seed),
                                   GareOptions(max_iter=max_iter))
     assert got == (status if max_iter >= stop else "iteration_cap")
@@ -458,6 +465,22 @@ def test_misshaped_input_direction_is_a_dimension_error():
     costs = CostPair(Q=np.eye(2), R=np.eye(1))
     with pytest.raises(DimensionError, match=r"b_dirs\[0\]"):
         solve_gare(sys, noise, costs)
+
+
+@pytest.mark.parametrize("Q, R, name", [
+    (np.eye(3), np.eye(1), "Q must be 2x2"),
+    (np.eye(1), np.eye(1), "Q must be 2x2"),
+    (np.eye(2), np.eye(2), "R must be 1x1"),
+])
+def test_misshaped_costs_are_a_dimension_error(Q, R, name):
+    # CostPair checks only itself; the value iteration checks Q against n
+    # and R against m before it iterates
+    sys = NominalSystem(A=np.eye(2), B=np.ones((2, 1)))
+    costs = CostPair(Q=Q, R=R)
+    with pytest.raises(DimensionError, match=name):
+        solve_gare(sys, NoiseModel(), costs)
+    with pytest.raises(DimensionError, match=name):
+        feasible_gare_solution(sys, NoiseModel(), costs)
 
 
 def test_gain_with_input_noise_matches_direct_formula():

@@ -1,5 +1,6 @@
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import numpy.linalg as la
@@ -531,7 +532,7 @@ def test_bisect_max_feasible_ends_at_float_resolution():
     def feasible(ys):
         probes.extend(ys)
         assert len(probes) < 10_000, "bisection did not end"
-        return [y <= frontier for y in ys]
+        return [lambda y=y: y <= frontier for y in ys]
 
     y, cap_hit, witness = bisect_max_feasible(feasible, BisectOptions(0.0))
     assert not cap_hit and witness is True
@@ -545,7 +546,7 @@ def test_bisect_max_feasible_default_cap_probes_powers_of_two():
 
     def feasible(ys):
         calls.append(ys)
-        return [True] * len(ys)
+        return [lambda: True] * len(ys)
 
     assert bisect_max_feasible(feasible) == (2.0 ** 60, True, True)
     points = [0.0] + [2.0 ** k for k in range(61)]
@@ -559,7 +560,7 @@ def test_bisect_max_feasible_asks_for_three_levels_at_once():
 
     def feasible(ys):
         calls.append(ys)
-        return [y <= 1.7 for y in ys]
+        return [lambda y=y: y <= 1.7 for y in ys]
 
     bisect_max_feasible(feasible)
     assert calls[0] == (0.0, 1.0, 2.0, 4.0)
@@ -569,11 +570,16 @@ def test_bisect_max_feasible_asks_for_three_levels_at_once():
 
 def test_bisect_max_feasible_raises_a_failed_probe_it_reads():
     # the verdict at y = 1.5 is the bracket's first midpoint, so the walk
-    # reads it and raises it
+    # calls it, and the failure it raises passes through
     failure = RuntimeError("probe failed")
 
+    def verdict(y):
+        if y == 1.5:
+            raise failure
+        return y <= 1.7
+
     def feasible(ys):
-        return [failure if y == 1.5 else y <= 1.7 for y in ys]
+        return [partial(verdict, y) for y in ys]
 
     with pytest.raises(RuntimeError) as info:
         bisect_max_feasible(feasible)
@@ -595,7 +601,7 @@ def test_bisect_max_feasible_returns_the_witness_of_its_y(frontier,
     def feasible(ys):
         for y in ys:
             probes[y] = object() if y <= frontier else None
-        return [probes[y] for y in ys]
+        return [partial(probes.get, y) for y in ys]
 
     y, cap_hit, witness = bisect_max_feasible(feasible)
     assert cap_hit is expect_cap

@@ -3,6 +3,7 @@ pencil-root margins, the speculative bisection, the bound-then-solve grid
 sweep and the stacked Monte Carlo propagation."""
 
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -169,9 +170,9 @@ THRESHOLDS = st.one_of(
 @PROPERTY
 @given(THRESHOLDS, st.sampled_from([0.0, 1e-6, 0.25]))
 def test_bisection_reads_the_sequential_probes(threshold, rel_tol):
-    # each verdict records when the walk reads it, and every point the
-    # one-at-a-time oracle never probes answers with an exception, which
-    # the walk raises only if it reads it
+    # each verdict records when the walk calls it and returns a witness of
+    # its own, and every point the one-at-a-time oracle never probes
+    # answers with a verdict that fails the test if the walk calls it
     probes = []
 
     def scalar(y):
@@ -179,27 +180,23 @@ def test_bisection_reads_the_sequential_probes(threshold, rel_tol):
         return y <= threshold
 
     want_y, want_cap, want_witness = sequential_bisect(scalar, rel_tol)
-    read, verdicts = [], {}
+    read, witnesses = [], {}
 
-    class Verdict:
-        def __init__(self, y):
-            self.y = y
+    def verdict(y):
+        read.append(y)
+        return witnesses.setdefault(y, object()) if y <= threshold else None
 
-        def __bool__(self):
-            read.append(self.y)
-            return self.y <= threshold
+    def unread(y):
+        raise AssertionError(f"read the unprobed point {y!r}")
 
     def feasible(ys):
-        for y in ys:
-            verdicts[y] = (Verdict(y) if y in probes else
-                           AssertionError(f"read the unprobed point {y!r}"))
-        return [verdicts[y] for y in ys]
+        return [partial(verdict if y in probes else unread, y) for y in ys]
 
     y, cap_hit, witness = bisect_max_feasible(feasible,
                                               BisectOptions(rel_tol))
     assert (y, cap_hit) == (want_y, want_cap)
     assert read == probes
-    assert witness is (verdicts[y] if want_witness else None)
+    assert witness is (witnesses[y] if want_witness else None)
 
 
 @st.composite
