@@ -26,7 +26,7 @@ import numpy as np
 import numpy.linalg as la
 
 from .errors import DimensionError, NotMeanSquareStableError
-from .matops import (_gen_eig_max, abs_part, is_psd, pos_part,
+from .matops import (_gen_eig_max, _psd_split_stack, is_psd, pos_part,
                      spectral_radius, symmetrize)
 from .model import (DirList, PerturbationBox, UncertaintyStructure,
                     _check_options)
@@ -259,10 +259,11 @@ def _margin_probe(
 ) -> tuple[tuple[np.ndarray, ...], Callable[[float], bool]]:
     """Split the y-independent parts of the margin inequality
     L - y R1 - y^2 R0 >= 0 once; return its pencil (L, R1, R0) and the
-    probe ``holds(y)`` at eta = y * w. The parts are L, the first-order and
-    the pair parts of the directions with nonzero weight; a probe adds them
-    in the order of a direct evaluation, so every verdict is bit-identical
-    to splitting the terms afresh.
+    probe ``holds(y)`` at eta = y * w. The parts are the first-order terms
+    of the k directions with nonzero weight, then their k^2 pair terms,
+    built as stacked products and split (positive or absolute part) in one
+    stacked call; a probe adds them in the order of a direct evaluation,
+    so every verdict is bit-identical to splitting the terms one by one.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     P = symmetrize(P)
@@ -271,31 +272,39 @@ def _margin_probe(
         raise DimensionError(
             f"got {w.size} margins for {len(dirs)} directions"
         )
-    part = abs_part if bidirectional else pos_part
     lhs = symmetrize(np.asarray(Q_eff, dtype=float)).copy()
     mats = _dir_mats(dirs)
     for (D, a), Dm in zip(dirs, mats):
         if a != 0.0:
             lhs += a * (Dm.T @ P @ Dm)
-    active = np.flatnonzero(w).tolist()
+    active = np.flatnonzero(w)
+    k = len(active)
+    Ds = np.array([mats[i] for i in active]).reshape(k, *lhs.shape)
+    DsT = Ds.swapaxes(-1, -2)
     PA = P @ A_cl
-    first = {i: part(mats[i].T @ PA + PA.T @ mats[i]) for i in active}
-    pairs = {}
-    for i in active:
-        PDi = P @ mats[i]
-        for j in active:
-            pairs[i, j] = part(mats[j].T @ PDi + PDi.T @ mats[j])
-    R1 = sum((w[i] * F for i, F in first.items()), 0.0 * lhs)
-    R0 = sum((w[i] * w[j] * F for (i, j), F in pairs.items()), 0.0 * lhs)
+    PDs = P @ Ds
+    # pair (i, j) is D_j' P D_i + (P D_i)' D_j, in row-major (i, j) order
+    pairs = (DsT[None] @ PDs[:, None] + PDs.swapaxes(-1, -2)[:, None]
+             @ Ds[None]).reshape(k * k, *lhs.shape)
+    plus, minus = _psd_split_stack(
+        np.concatenate([DsT @ PA + PA.T @ Ds, pairs]), bidirectional)
+    parts = plus if minus is None else plus - minus
+
+    def coef(v):
+        v = v[active]
+        return np.concatenate([v, np.outer(v, v).ravel()])
+
+    def weighted(c, terms, total):
+        for ck, F in zip(c, terms):
+            total += ck * F
+        return total
+
+    c = coef(w)
+    R1 = weighted(c[:k], parts[:k], 0.0 * lhs)
+    R0 = weighted(c[k:], parts[k:], 0.0 * lhs)
 
     def holds(y: float) -> bool:
-        eta = y * w
-        rhs = np.zeros_like(lhs)
-        for i, F in first.items():
-            rhs += eta[i] * F
-        for (i, j), F in pairs.items():
-            rhs += eta[i] * eta[j] * F
-        return is_psd(lhs - rhs)
+        return is_psd(lhs - weighted(coef(y * w), parts, np.zeros_like(lhs)))
 
     return (lhs, R1, R0), holds
 
@@ -467,6 +476,26 @@ def single_direction_margin(
     return _sqrt_shift_gap(zeta, alpha1), zeta
 
 
+def _cons_zetas(A_cl, Ds, alphas, P, Q_eff,
+                kind: MarginMethod) -> list[float]:
+    """Auxiliary scalars zeta of the directions Ds, a (k, n, n) stack with
+    variances ``alphas``, for symmetric P and Q_eff: the positive parts of
+    the cross terms (A_cl'P) D_i + (D_i'P) A_cl come from one stacked split
+    and the generalized eigenvalues from one stacked solve, and each zeta
+    is what the direction would give alone."""
+    cross_plus, _ = _psd_split_stack((A_cl.T @ P) @ Ds
+                                     + (Ds.swapaxes(-1, -2) @ P) @ A_cl)
+    if kind is MarginMethod.CONS_LINEARIZED:
+        a = alphas[:, None, None]
+        lams = _gen_eig_max(
+            cross_plus - Q_eff / np.sqrt(a),
+            Q_eff / a + 2.0 * ((Ds.swapaxes(-1, -2) @ P) @ Ds))
+        return [max(lam, 0.0) for lam in lams.tolist()]
+    lams = _gen_eig_max(cross_plus, Q_eff)
+    return [0.0 if lam <= 1e-14 else max(0.5 * (a * lam - 1.0 / lam), 0.0)
+            for a, lam in zip(alphas.tolist(), lams.tolist())]
+
+
 def conservative_margin_linearized(
     A_cl, A_i, alpha_i: float, P, Q_eff
 ) -> float:
@@ -474,35 +503,29 @@ def conservative_margin_linearized(
     linearizing the coefficient function about zero (a global
     underestimator, hence conservative). The returned zeta satisfies the
     single-direction inequality."""
-    A_cl = np.asarray(A_cl, dtype=float)
-    A_i = np.asarray(A_i, dtype=float)
     P = symmetrize(P)
     Q_eff = symmetrize(Q_eff)
     alpha_i = float(alpha_i)
     if alpha_i <= 0:
         raise ValueError("alpha_i must be positive")
-    cross_plus = pos_part(A_cl.T @ P @ A_i + A_i.T @ P @ A_cl)
-    lhs = cross_plus - Q_eff / math.sqrt(alpha_i)
-    rhs = Q_eff / alpha_i + 2.0 * (A_i.T @ P @ A_i)
-    lam = _gen_eig_max(lhs, rhs)
-    return max(lam, 0.0)
+    return _cons_zetas(np.asarray(A_cl, dtype=float),
+                       np.asarray(A_i, dtype=float)[None],
+                       np.array([alpha_i]), P, Q_eff,
+                       MarginMethod.CONS_LINEARIZED)[0]
 
 
 def conservative_margin_simple(A_cl, A_i, P, Q_eff, alpha_i: float) -> float:
     """Auxiliary scalar from the crudest generalized eigenvalue bound,
     which additionally discards the helpful quadratic direction term."""
-    A_cl = np.asarray(A_cl, dtype=float)
-    A_i = np.asarray(A_i, dtype=float)
     P = symmetrize(P)
     Q_eff = symmetrize(Q_eff)
     alpha_i = float(alpha_i)
     if alpha_i < 0:
         raise ValueError("alpha_i must be nonnegative")
-    cross_plus = pos_part(A_cl.T @ P @ A_i + A_i.T @ P @ A_cl)
-    lam = _gen_eig_max(cross_plus, Q_eff)
-    if lam <= 1e-14:
-        return 0.0
-    return max(0.5 * (alpha_i * lam - 1.0 / lam), 0.0)
+    return _cons_zetas(np.asarray(A_cl, dtype=float),
+                       np.asarray(A_i, dtype=float)[None],
+                       np.array([alpha_i]), P, Q_eff,
+                       MarginMethod.CONS_SIMPLE)[0]
 
 
 def conservative_margins(
@@ -514,9 +537,14 @@ def conservative_margins(
 ) -> MarginCertificate:
     """Margin certificate built from per-direction auxiliary scalars.
 
-    Each direction gets zeta_k from the chosen generalized-eigenvalue
-    lemma and the per-direction envelope
-    eta_bar_k = sqrt(zeta_k^2 + alpha_k) - zeta_k. With a single direction
+    Each direction with positive variance gets zeta_k from the chosen
+    generalized-eigenvalue lemma and the per-direction envelope
+    eta_bar_k = sqrt(zeta_k^2 + alpha_k) - zeta_k; a direction with zero
+    variance gets zeta_k = 0 and envelope 0. The cross parts of all the
+    directions are split in one stacked call and their generalized
+    eigenvalues solved in another, and each zeta_k is bit for bit the one
+    :func:`conservative_margin_linearized` or
+    :func:`conservative_margin_simple` gives alone. With a single direction
     the envelope itself is the certified (one-sided) margin. With several,
     margins proportional to the envelopes are scaled to the edge of the
     joint matrix inequality, capped at the envelopes, which keeps every
@@ -536,16 +564,13 @@ def conservative_margins(
     P = _stable_gle(A_cl, dirs, q_term)
     zetas = np.zeros(count)
     caps = np.zeros(count)
-    for k, (D, a) in enumerate(dirs):
-        if a <= 0.0:
-            zetas[k] = 0.0
-            caps[k] = 0.0
-            continue
-        if kind is MarginMethod.CONS_LINEARIZED:
-            zetas[k] = conservative_margin_linearized(A_cl, D, a, P, Q_eff)
-        else:
-            zetas[k] = conservative_margin_simple(A_cl, D, P, Q_eff, a)
-        caps[k] = _sqrt_shift_gap(zetas[k], a)
+    live = [k for k, (_, a) in enumerate(dirs) if a > 0.0]
+    if live:
+        alphas = np.array([dirs[k][1] for k in live], dtype=float)
+        zetas[live] = _cons_zetas(A_cl, np.array(_dir_mats(dirs))[live],
+                                  alphas, symmetrize(P), Q_eff, kind)
+        caps[live] = [_sqrt_shift_gap(z, a)
+                      for z, a in zip(zetas[live], alphas)]
     total = float(caps.sum())
     if total <= 0.0:
         return MarginCertificate(

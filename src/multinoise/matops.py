@@ -32,10 +32,14 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def _sym(M: np.ndarray) -> np.ndarray:
+    # the symmetric part of a matrix, or of each matrix of a stack
+    return 0.5 * (M + M.swapaxes(-1, -2))
+
+
 def symmetrize(M) -> np.ndarray:
     """Return the symmetric part (M + M^T) / 2 of a square matrix."""
-    M = _as_square(M)
-    return 0.5 * (M + M.T)
+    return _sym(_as_square(M))
 
 
 def spectral_radius(M) -> float:
@@ -58,25 +62,40 @@ class PsdSplit:
     minus: np.ndarray
 
 
+def _psd_split_stack(
+    S: np.ndarray, two_sided: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Split the symmetric part of every matrix of a (k, n, n) stack by
+    eigenvalue sign, with one eigendecomposition call for the whole stack.
+
+    Returns ``(plus, minus)``, each (k, n, n), with ``minus`` None unless
+    ``two_sided``. Every slice is computed as if it were split alone, so
+    ``plus[i]`` and ``minus[i]`` do not depend on the rest of the stack.
+    """
+    w, V = la.eigh(_sym(S))
+    Vt = V.swapaxes(-1, -2)
+    plus = _sym((V * np.where(w >= 0.0, w, 0.0)[..., None, :]) @ Vt)
+    if not two_sided:
+        return plus, None
+    return plus, _sym((V * np.where(w < 0.0, w, 0.0)[..., None, :]) @ Vt)
+
+
 def psd_split(S) -> PsdSplit:
     """Eigendecompose a symmetric matrix and split it by eigenvalue sign."""
-    S = symmetrize(S)
-    w, V = la.eigh(S)
-    plus = (V * np.where(w >= 0.0, w, 0.0)) @ V.T
-    minus = (V * np.where(w < 0.0, w, 0.0)) @ V.T
-    return PsdSplit(plus=symmetrize(plus), minus=symmetrize(minus))
+    plus, minus = _psd_split_stack(_as_square(S)[None], two_sided=True)
+    return PsdSplit(plus=plus[0], minus=minus[0])
 
 
 def pos_part(S) -> np.ndarray:
     """Positive semidefinite part of a symmetric matrix."""
-    return psd_split(S).plus
+    return _psd_split_stack(_as_square(S)[None])[0][0]
 
 
 def abs_part(S) -> np.ndarray:
     """Matrix absolute value plus - minus; dominates both the positive part
     and the negated negative part."""
-    sp = psd_split(S)
-    return sp.plus - sp.minus
+    plus, minus = _psd_split_stack(_as_square(S)[None], two_sided=True)
+    return (plus - minus)[0]
 
 
 def is_psd(S, tol: float | None = None) -> bool:
@@ -95,29 +114,33 @@ def is_psd(S, tol: float | None = None) -> bool:
     return bool(w[0] >= -tol)
 
 
-def _gen_eig_max(lhs, rhs) -> float:
+def _gen_eig_max(lhs, rhs):
     """Maximum generalized eigenvalue ``lam`` of ``lhs v = lam rhs v`` for a
-    symmetric pair with ``rhs`` positive definite.
+    symmetric pair with ``rhs`` positive definite, or for each pair of a
+    stack.
 
-    Solved by Cholesky whitening: factor rhs = L L^T and take the largest
-    eigenvalue of L^-1 lhs L^-T, which makes ``lam * rhs - lhs`` positive
-    semidefinite and tight. A singular ``rhs`` would push the result to
-    infinity, so it is rejected.
+    ``lhs`` is (n, n) or a (k, n, n) stack, and ``rhs`` is the same or one
+    (n, n) matrix shared by the whole stack; the result is a float, or a (k,)
+    array. Solved by Cholesky whitening: factor rhs = L L^T and take the
+    largest eigenvalue of L^-1 lhs L^-T, which makes ``lam * rhs - lhs``
+    positive semidefinite and tight. Each step is one call on the whole
+    stack, and each slice is computed as if it were solved alone. A
+    singular ``rhs`` would push the result to infinity, so it is rejected.
     """
-    lhs = symmetrize(lhs)
-    rhs = symmetrize(rhs)
-    if lhs.shape != rhs.shape:
+    lhs = _sym(np.asarray(lhs, dtype=float))
+    rhs = _sym(np.asarray(rhs, dtype=float))
+    if lhs.shape[-2:] != rhs.shape[-2:]:
         raise DimensionError(
-            f"pencil shapes differ: {lhs.shape} vs {rhs.shape}"
+            f"pencil shapes differ: {lhs.shape[-2:]} vs {rhs.shape[-2:]}"
         )
     w = la.eigvalsh(rhs)
-    if w[0] <= 1e-12 * max(w[-1], 0.0):
+    if np.any(w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0)):
         raise SingularPencilError(
             "right-hand pencil matrix is not positive definite; the maximum "
             "generalized eigenvalue is unbounded"
         )
     L = la.cholesky(rhs)
     Y = la.solve(L, lhs)
-    Y = la.solve(L, Y.T).T
-    return float(la.eigvalsh(symmetrize(Y))[-1])
-
+    Y = la.solve(L, Y.swapaxes(-1, -2)).swapaxes(-1, -2)
+    lam = la.eigvalsh(_sym(Y))[..., -1]
+    return lam if lam.ndim else float(lam)

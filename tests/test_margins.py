@@ -355,6 +355,33 @@ def test_conservative_certificate_multi_direction_caps_at_envelope():
                                  cert.box.bounds * (1 - 1e-9), False)
 
 
+@pytest.mark.parametrize("kind", [MarginMethod.CONS_LINEARIZED,
+                                  MarginMethod.CONS_SIMPLE])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_conservative_certificate_zetas_match_one_direction_calls(kind, p):
+    # the stacked zetas of a certificate are bit for bit the public
+    # one-direction ones; a zero-variance direction is skipped with zeta 0
+    # and cap 0 (the second instance zeroes the last direction's variance)
+    rng = np.random.default_rng(90 + p)
+    for zero_last in (False, True):
+        n = int(rng.integers(1, 5))
+        A_cl, dirs = random_mss_instance(rng, n, p, rng.uniform(0.4, 0.9))
+        if zero_last:
+            dirs[-1] = (dirs[-1][0], 0.0)
+        cert = conservative_margins(A_cl, dirs, None, kind)
+        for k, (D, a) in enumerate(dirs):
+            if a == 0.0:
+                assert cert.zeta[k] == 0.0 and cert.box.bounds[k] == 0.0
+                continue
+            if kind is MarginMethod.CONS_LINEARIZED:
+                zeta = conservative_margin_linearized(A_cl, D, a, cert.P,
+                                                      np.eye(n))
+            else:
+                zeta = conservative_margin_simple(A_cl, D, cert.P, np.eye(n),
+                                                  a)
+            assert float(cert.zeta[k]).hex() == zeta.hex()
+
+
 # ------------------------------------------------------------------ aux route
 
 @pytest.mark.parametrize("a", [0.0, 0.3, -0.5, 0.7, -0.9])
@@ -776,11 +803,12 @@ def test_root_overshoot_is_backed_off_until_confirmed(monkeypatch):
 
 
 def _count_splits(monkeypatch):
+    # the number of matrices in each call of the stacked split
     calls = []
-    for name in ("pos_part", "abs_part"):
-        part = getattr(margins_mod, name)
-        monkeypatch.setattr(margins_mod, name,
-                            lambda S, part=part: calls.append(1) or part(S))
+    split = margins_mod._psd_split_stack
+    monkeypatch.setattr(margins_mod, "_psd_split_stack",
+                        lambda S, *args: calls.append(len(S))
+                        or split(S, *args))
     return calls
 
 
@@ -788,12 +816,15 @@ def _count_splits(monkeypatch):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_shared_margins_split_once_per_certificate(monkeypatch, p,
                                                    bidirectional):
+    # each part is split once per certificate: the first-order and pair
+    # terms of the active directions all go to one stacked split
     calls = _count_splits(monkeypatch)
     for A_cl, dirs, structure in _split_instances(60 + p, p, count=2):
         active = int(np.count_nonzero(structure.weights))
         calls.clear()
         shared_lyapunov_margins(A_cl, dirs, None, structure, bidirectional)
-        assert len(calls) == active + active * active <= p + p * p
+        assert calls == [active + active * active]
+        assert active + active * active <= p + p * p
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -1,6 +1,7 @@
-"""Property tests of the svec lift, the LU stability verdict, the
-pencil-root margins, the speculative bisection, the bound-then-solve grid
-sweep and the stacked Monte Carlo propagation."""
+"""Property tests of the svec lift, the LU stability verdict, the stacked
+splits and generalized eigenvalues, the pencil-root margins, the
+speculative bisection, the bound-then-solve grid sweep and the stacked
+Monte Carlo propagation."""
 
 import math
 from functools import partial
@@ -8,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import numpy.linalg as la
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from multinoise import (
     BisectOptions,
     MonteCarloConfig,
     PerturbationBox,
+    SingularPencilError,
     UncertaintyStructure,
     grid_verify,
     is_mean_square_stable,
@@ -29,7 +32,8 @@ from multinoise import (
 )
 from multinoise.margins import (BRACKET_CAP, _single_dir_condition,
                                 bisect_max_feasible)
-from multinoise.matops import pos_part, symmetrize
+from multinoise.matops import (_gen_eig_max, _psd_split_stack, abs_part,
+                               pos_part, psd_split, symmetrize)
 from multinoise.stability import _mss_holds, _svec_lift
 from multinoise.verify import (
     _MC_BLOCK,
@@ -86,6 +90,68 @@ def test_lu_verdict_agrees_with_radius_outside_band(instance, target):
     A_cl, dirs = s * A0, [(D, s * s * a) for D, a in dirs0]
     mss, _ = is_mean_square_stable(A_cl, dirs)
     assert _mss_holds(A_cl, dirs) == mss == (target < 1.0)
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A (k, n, n) stack, n in 1..6 and k in 1..12. Most matrices are
+    Q diag(s) Q' with Q orthogonal and s drawn from a few values, so zero,
+    repeated and negative eigenvalues all occur; the others are
+    unsymmetric noise."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(k):
+        if rng.random() < 0.25:
+            mats.append(rng.normal(size=(n, n)))
+            continue
+        Q = la.qr(rng.normal(size=(n, n)))[0]
+        s = rng.choice([-2.0, -0.5, 0.0, 0.0, 1.0, 1.0, 3.0], size=n)
+        mats.append((Q * s) @ Q.T)
+    return np.array(mats)
+
+
+@PROPERTY
+@given(matrix_stacks())
+def test_a_split_does_not_depend_on_its_stack(S):
+    plus, minus = _psd_split_stack(S, two_sided=True)
+    assert _psd_split_stack(S)[0].tobytes() == plus.tobytes()
+    for i, M in enumerate(S):
+        sp = psd_split(M)
+        assert sp.plus.tobytes() == plus[i].tobytes()
+        assert sp.minus.tobytes() == minus[i].tobytes()
+        assert pos_part(M).tobytes() == plus[i].tobytes()
+        assert abs_part(M).tobytes() == (plus[i] - minus[i]).tobytes()
+
+
+@PROPERTY
+@given(matrix_stacks(), st.integers(0, 2**32 - 1), st.booleans())
+def test_a_generalized_eigenvalue_does_not_depend_on_its_stack(lhs, seed,
+                                                               shared):
+    # per-pair right-hand sides, or one shared by the whole stack; then
+    # one singular right-hand side anywhere in the stack fails all of it
+    k, n, _ = lhs.shape
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(k, n, n))
+    rhs = X @ X.swapaxes(-1, -2) + 0.1 * np.eye(n)
+    if shared:
+        rhs = rhs[0]
+    lams = _gen_eig_max(lhs, rhs)
+    for i in range(k):
+        lam = _gen_eig_max(lhs[i], rhs if shared else rhs[i])
+        assert float(lams[i]).hex() == lam.hex()
+    Q = la.qr(rng.normal(size=(n, n)))[0]
+    singular = (Q * np.r_[0.0, rng.uniform(0.5, 2.0, n - 1)]) @ Q.T
+    if shared:
+        rhs = singular
+    else:
+        rhs[rng.integers(k)] = singular
+    with pytest.raises(SingularPencilError) as exc:
+        _gen_eig_max(lhs, rhs)
+    assert str(exc.value) == (
+        "right-hand pencil matrix is not positive definite; the maximum "
+        "generalized eigenvalue is unbounded")
 
 
 @st.composite
