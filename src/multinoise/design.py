@@ -16,12 +16,15 @@ the auxiliary-system box for the second.
 
 Each bisection asks for the points of its next few steps at once, and
 their Riccati probes run as one stacked value iteration that returns one
-verdict per point, a call with no arguments. The bisection calls the
-verdicts it would have probed one at a time and no others, so a member's
-closed-loop check runs, and its numerical failure is raised, only if the
-bisection reads it: the stacking changes how long a design takes, never
-what it returns. A true plant is checked against the nominal one before
-any probe.
+verdict per point, a call with no arguments. Each verdict carries its
+member's lead, the log of its stopping ratio carried to the iteration cap,
+and once the bracket holds leads of both signs the bisection asks for the
+path it predicts it will walk to the interpolated crossing. The bisection
+calls the verdicts it would have probed one at a time and no others, so a
+member's closed-loop check runs, and its numerical failure is raised, only
+if the bisection reads it: the stacking and the leads change how long a
+design takes, never what it returns. A true plant is checked against the
+nominal one before any probe.
 
 Runs are deterministic: identical inputs and options produce bit-identical
 gains.

@@ -23,7 +23,10 @@ Divergence of the iterates doubles as the mean-square stabilizability
 probe used by the design bisections: when no finite value exists, the
 iterates grow without bound, and when the noise parameters sit near the
 stabilizability boundary the iteration converges arbitrarily slowly, so
-the iteration cap acts as the effective feasibility boundary.
+the iteration cap acts as the effective feasibility boundary. Each member
+of a stack also returns a lead, the log of its stopping ratio carried to
+the cap, which changes sign near that boundary: the bisections read it to
+predict which points they will probe next, never to decide one.
 
 Semidefinite-programming formulations of the same fixed point are not
 implemented; value iteration is the sole solver.
@@ -198,17 +201,30 @@ def _solve_stack(
     noises: Sequence[NoiseModel],
     costs: CostPair,
     opts: GareOptions | None = None,
-) -> list[GareSolution | NumericalError]:
+) -> tuple[list[GareSolution | NumericalError], list[float | None]]:
     """:func:`solve_gare` for a stack of problems that share n, m and the
     costs, in one value iteration: member b's result is what
     ``solve_gare(systems[b], noises[b], costs, opts)`` returns, bit for bit,
-    or the :class:`NumericalError` it raises.
+    or the :class:`NumericalError` it raises. Returns the results and one
+    lead per member.
 
     Each iteration is one stacked matmul of the members' lifted Schur
     matrices with their iterates, then the m pivots of every member at
     once. The stopping rule, the blowup test and the pivot test run per
     member once per block; a member leaves the stack at its first iterate
     that meets one, and the others go on without it.
+
+    A member's lead predicts its verdict from the log of its stopping
+    ratio, l = log(||P_{t+1} - P_t||_F / (tol_abs + tol_rel ||P_{t+1}||_F)),
+    which near a design frontier is close to linear in the noise level. A
+    member at the iteration cap gets l at ``max_iter``, the ratio that
+    failed, so its lead is > 0; a converged member gets l at its stopping
+    iterate plus (``max_iter`` - stop) times the mean change of l per
+    iterate between that iterate and the farthest one its block computed
+    (a one-iterate block gives no lead). A member that blows up, goes
+    non-finite or fails a pivot, or whose lead is not finite (a zero
+    tolerance, say), gets None. Leads are taken only where a member stops
+    and never change a result.
     """
     opts = opts or _DEFAULT_OPTIONS
     for sys, noise in zip(systems, noises):
@@ -232,12 +248,13 @@ def _solve_stack(
     const[inner] = costs.R
 
     results: list = [None] * len(S)
+    leads: list = [None] * len(S)
     members = list(range(len(S)))  # stack column -> member
     stack = _Stack(S, const, q[:, None], N, pivots)
     iterations = 0
     # iterates past a stop are discarded; they may overflow harmlessly
     with np.errstate(all="ignore"):
-        while iterations < opts.max_iter:
+        while True:
             size = min(_BLOCK, opts.max_iter - iterations)
             S, const_b, buf = stack.S, stack.const, stack.buf
             zs, outs, ins, elims = stack.z, stack.out, stack.x, stack.elims
@@ -253,9 +270,10 @@ def _solve_stack(
             step = new - buf[:size, :N]
             diff = np.sqrt(w @ (step * step))
             pnorm = np.sqrt(w @ (new * new))
+            tol = opts.tol_abs + opts.tol_rel * pnorm
             # blowup is finite, so a NaN or infinite norm fails this too
             blown = ~(pnorm <= opts.blowup)
-            stop = blown | (diff <= opts.tol_abs + opts.tol_rel * pnorm)
+            stop = blown | (diff <= tol)
             # a finite pivot <= 0 ends its member at that iterate; a
             # non-finite one is left to the non_finite status
             pivs = buf[1:size + 1].take(kks, axis=1)
@@ -263,14 +281,20 @@ def _solve_stack(
             if not pivs.min() > 0.0:  # a pivot <= 0 or NaN
                 failed = ((pivs <= 0.0) & np.isfinite(pivs)).any(axis=1)
                 stop |= failed
+            capped = None
+            if iterations == opts.max_iter:  # the rest end at the cap
+                capped = ~stop.any(axis=0)
+                stop[-1] |= capped
             if not stop.any():
                 buf[0] = buf[size]
                 continue
             hits = stop.any(axis=0).tolist()
+            ell = np.log(diff / tol)
             for b, i in enumerate(stop.argmax(axis=0).tolist()):
                 if not hits[b]:
                     continue
                 done = iterations - size + i + 1
+                lead = None
                 if failed is not None and failed[i, b]:
                     sol = NumericalError(
                         "inner input-weight matrix is not positive definite")
@@ -279,23 +303,31 @@ def _solve_stack(
                               else "non_finite")
                     sol = GareSolution(P=None, K=None, iterations=done,
                                        status=status)
+                elif capped is not None and capped[b]:
+                    sol = GareSolution(P=None, K=None, iterations=done,
+                                       status="iteration_cap")
+                    lead = ell[i, b]
                 else:
                     s = buf[i + 1, :N, b]
                     z = S[b] @ s + const
                     sol = GareSolution(P=_unsvec(s, n),
                                        K=-la.solve(z[inner], z[cross]),
                                        iterations=done, status="converged")
+                    if size > 1:
+                        # l's mean change per iterate, from the far end of
+                        # the block to the stop
+                        j = 0 if i else size - 1
+                        lead = ell[i, b] + ((opts.max_iter - done)
+                                            * (ell[i, b] - ell[j, b]) / (i - j))
                 results[members[b]] = sol
+                if lead is not None and math.isfinite(lead):
+                    leads[members[b]] = float(lead)
             if all(hits):
-                return results
+                return results, leads
             going = [b for b, hit in enumerate(hits) if not hit]
             members = [members[b] for b in going]
             stack = _Stack(S[going], const, buf[size, :N][:, going], N,
                            pivots)
-    for mb in members:
-        results[mb] = GareSolution(P=None, K=None, iterations=iterations,
-                                   status="iteration_cap")
-    return results
 
 
 def solve_gare(
@@ -319,7 +351,7 @@ def solve_gare(
     separately by :func:`feasible_gare_solution`. This is the one-member
     case of the stacked value iteration that the design bisections run.
     """
-    sol = _solve_stack([sys], [noise], costs, opts)[0]
+    sol = _solve_stack([sys], [noise], costs, opts)[0][0]
     if isinstance(sol, NumericalError):
         raise sol
     return sol
@@ -347,9 +379,17 @@ def _probe_stack(
     """:func:`feasible_gare_solution` of each member of a stack as a call
     with no arguments, from one :func:`_solve_stack`: a member's
     closed-loop check runs, and its pivot failure is raised, only when its
-    verdict is called, so a bisection decides only the members it reads."""
-    return [partial(_verdict, sys, noise, sol) for sys, noise, sol in
-            zip(systems, noises, _solve_stack(systems, noises, costs, opts))]
+    verdict is called, so a bisection decides only the members it reads.
+    Each verdict's ``lead`` attribute is its member's lead from
+    :func:`_solve_stack`, which the bisection reads to choose the points it
+    asks for next, never to decide one."""
+    results, leads = _solve_stack(systems, noises, costs, opts)
+    verdicts = []
+    for sys, noise, sol, lead in zip(systems, noises, results, leads):
+        verdict = partial(_verdict, sys, noise, sol)
+        verdict.lead = lead
+        verdicts.append(verdict)
+    return verdicts
 
 
 def feasible_gare_solution(

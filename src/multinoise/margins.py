@@ -17,6 +17,7 @@ feasibility test.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -112,24 +113,58 @@ class MarginCertificate:
 _GROWTH = (0.0,) + tuple(2.0 ** k
                          for k in range(int(math.log2(BRACKET_CAP)) + 1))
 #: points asked for at once while the bracket grows, and levels of
-#: midpoints (2^levels - 1 points) while it shrinks: one stacked probe of a
-#: design bisection costs about its slowest member, and the verdicts the
-#: walk does not reach are never called
+#: midpoints (2^levels - 1 points) asked for while it shrinks with no
+#: predicted crossing in it: one stacked probe of a design bisection costs
+#: about its slowest member, and the verdicts the walk does not reach are
+#: never called
 _GROWTH_BATCH = 4
 _LEVELS = 3
+
+_log = logging.getLogger(__name__)
+
+
+def _mid(lo: float, hi: float, rel_tol: float) -> float | None:
+    """The bisection's next probe in [lo, hi]: the midpoint, or None once
+    the bracket is no wider than ``rel_tol * hi + 1e-12`` or no float is
+    left between its ends."""
+    if not hi - lo > rel_tol * hi + 1e-12:
+        return None
+    mid = 0.5 * (lo + hi)
+    return mid if lo < mid < hi else None
 
 
 def _midpoints(lo: float, hi: float, rel_tol: float,
                levels: int) -> list[float]:
     """Every midpoint the bisection can probe in its next ``levels`` steps
     from [lo, hi], whichever way each step goes, under its own end test."""
-    if levels == 0 or not hi - lo > rel_tol * hi + 1e-12:
-        return []
-    mid = 0.5 * (lo + hi)
-    if not lo < mid < hi:  # no float left between the ends
+    mid = _mid(lo, hi, rel_tol) if levels else None
+    if mid is None:
         return []
     return ([mid] + _midpoints(lo, mid, rel_tol, levels - 1)
             + _midpoints(mid, hi, rel_tol, levels - 1))
+
+
+def _path(lo: float, hi: float, rel_tol: float, y_c: float) -> list[float]:
+    """The midpoints the bisection probes from [lo, hi] to its end if every
+    point up to ``y_c`` is feasible and every point above it is not."""
+    points = []
+    while (mid := _mid(lo, hi, rel_tol)) is not None:
+        points.append(mid)
+        lo, hi = (mid, hi) if mid <= y_c else (lo, mid)
+    return points
+
+
+def _crossing(leads: dict[float, float], lo: float,
+              hi: float) -> float | None:
+    """Where the leads of the points in [lo, hi] cross 0: the linear
+    interpolation between the largest point with lead <= 0 and the smallest
+    with lead > 0; None unless the bracket holds leads of both signs."""
+    below = [(y, v) for y, v in leads.items() if lo <= y <= hi and v <= 0.0]
+    above = [(y, v) for y, v in leads.items() if lo <= y <= hi and v > 0.0]
+    if not (below and above):
+        return None
+    (a, la), (b, lb) = max(below), min(above)
+    return a + (b - a) * (la / (la - lb))
 
 
 def bisect_max_feasible(
@@ -146,45 +181,87 @@ def bisect_max_feasible(
     until it is no wider than ``rel_tol * hi + 1e-12``, or no float is
     left between its ends. Each call of ``feasible`` asks for the points
     of several steps at once: the next 4 points of the doubling (0 first,
-    never past :data:`BRACKET_CAP`), then the 7 midpoints of the next 3
-    halvings, whichever way each goes. The walk then calls the verdicts of
-    exactly the points a one-point-at-a-time bisection would probe, in its
-    order, so it returns the same result; the other verdicts are never
-    called, and whatever they would decide or raise stays undone.
+    never past :data:`BRACKET_CAP`), then, while the bracket shrinks,
+    either the walk's predicted path or the 7 midpoints of the next 3
+    halvings, whichever way each goes.
+
+    A verdict may carry a ``lead`` attribute, a float that predicts it:
+    <= 0 for a truthy verdict, > 0 for a falsy one, and near the frontier
+    roughly linear in y; None, or one that is absent or not finite, says
+    nothing. The leads of every point asked for, read or not, are kept.
+    When the bracket holds leads of both signs, the crossing y_c is
+    interpolated between the largest point with lead <= 0 and the smallest
+    with lead > 0, and the next call asks for the midpoints the walk probes
+    on its way to y_c, to its end test; otherwise it asks for the 7-point
+    tree. Leads only choose which points are asked for: the walk calls the
+    verdicts of exactly the points a one-point-at-a-time bisection would
+    probe, in its order, so it returns the same result whatever the leads
+    say; the other verdicts are never called, and whatever they would
+    decide or raise stays undone.
 
     Returns ``(y, cap_hit, witness)``: y was itself evaluated feasible,
     ``witness`` is what the verdict of y returned, and ``cap_hit`` says y
     is :data:`BRACKET_CAP`. If even y = 0 is infeasible, returns
-    (0.0, False, None) without claiming feasibility.
+    (0.0, False, None) without claiming feasibility. Each call of
+    ``feasible`` is logged at DEBUG level on the ``multinoise.margins``
+    logger, and so is a summary of the bisection.
     """
     rel_tol = (opts or BisectOptions()).rel_tol
+    debug = _log.isEnabledFor(logging.DEBUG)
+    leads: dict[float, float] = {}
+    asks = asked = read = 0
 
-    def ask(points):
-        return dict(zip(points, feasible(tuple(points)), strict=True))
+    def ask(phase, lo, hi, y_c, points):
+        nonlocal asks, asked
+        asks += 1
+        asked += len(points)
+        if debug:
+            _log.debug("bisection ask: %s, bracket [%r, %r], crossing %r, "
+                       "%d points %r", phase, lo, hi, y_c, len(points),
+                       points)
+        verdicts = dict(zip(points, feasible(tuple(points)), strict=True))
+        for y, verdict in verdicts.items():
+            lead = getattr(verdict, "lead", None)
+            if lead is not None and math.isfinite(lead):
+                leads[y] = lead
+        return verdicts
+
+    def done(y, cap_hit, witness):
+        if debug:
+            _log.debug("bisection end: y %r, cap_hit %s, %d asks, %d points "
+                       "asked, %d verdicts read", y, cap_hit, asks, asked,
+                       read)
+        return y, cap_hit, witness
 
     lo, witness, verdicts = 0.0, None, {}
     for k, hi in enumerate(_GROWTH):
         if hi not in verdicts:
-            verdicts = ask(_GROWTH[k:k + _GROWTH_BATCH])
+            verdicts = ask("growth", lo, hi, None,
+                           _GROWTH[k:k + _GROWTH_BATCH])
+        read += 1
         if not (probe := verdicts[hi]()):
             break
         lo, witness = hi, probe
     else:
-        return lo, True, witness
+        return done(lo, True, witness)
     if witness is None:
-        return 0.0, False, None
+        return done(0.0, False, None)
     verdicts = {}
-    while hi - lo > rel_tol * hi + 1e-12:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # no float left between the ends
-            break
+    while (mid := _mid(lo, hi, rel_tol)) is not None:
         if mid not in verdicts:
-            verdicts = ask(_midpoints(lo, hi, rel_tol, _LEVELS))
+            y_c = _crossing(leads, lo, hi)
+            if y_c is None:
+                verdicts = ask("tree", lo, hi, None,
+                               _midpoints(lo, hi, rel_tol, _LEVELS))
+            else:
+                verdicts = ask("path", lo, hi, y_c,
+                               _path(lo, hi, rel_tol, y_c))
+        read += 1
         if probe := verdicts[mid]():
             lo, witness = mid, probe
         else:
             hi = mid
-    return lo, False, witness
+    return done(lo, False, witness)
 
 
 def _pencil_root(L, R1, R0) -> float:

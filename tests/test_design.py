@@ -454,6 +454,38 @@ def test_designs_check_only_the_probes_their_bisection_reads(
     assert cap_hit is res.cap_hit
 
 
+@pytest.mark.parametrize("algo", [design_algorithm_1, design_algorithm_2])
+def test_designs_stack_the_path_their_leads_predict(pendulum, monkeypatch,
+                                                    algo):
+    # the leads only choose which points are stacked, so a predictor that
+    # went dead would change no result: only the count of stacked solves
+    # shows it. Without leads every halving ask is a 3-level tree
+    instance = (pendulum.system, pendulum.costs,
+                [D for D, _ in pendulum.noise.a_dirs], [], pendulum.structure)
+    opts = DesignOptions(gare=pendulum.gare_options,
+                         bisect=pendulum.bisect_options)
+    solve = gare._solve_stack
+
+    def run(with_leads):
+        calls = []
+
+        def counted(*args):
+            results, leads = solve(*args)
+            calls.append(len(results))
+            return results, leads if with_leads else [None] * len(leads)
+
+        monkeypatch.setattr(gare, "_solve_stack", counted)
+        return algo(*instance, opts), calls
+
+    led, led_calls = run(True)
+    blind, blind_calls = run(False)
+    assert led.K.tobytes() == blind.K.tobytes()
+    assert (led.y_star, led.z_star, led.cap_hit) == (
+        blind.y_star, blind.z_star, blind.cap_hit)
+    assert led.certificate.P.tobytes() == blind.certificate.P.tobytes()
+    assert len(led_calls) < len(blind_calls)
+
+
 def test_an_unread_member_that_fails_its_pivot_raises_nothing(monkeypatch):
     # the first stacked call asks for y = 0, 1, 2 and 4, and the walk reads
     # 0, 1 and 2 only, since the frontier lies at 1.7: the member at y = 4
@@ -478,11 +510,11 @@ def test_an_unread_member_that_fails_its_pivot_raises_nothing(monkeypatch):
     converged, solve = [], gare._solve_stack
 
     def counted(*args):
-        results = solve(*args)
+        results, leads = solve(*args)
         converged.extend(sol for sol in results
                          if not isinstance(sol, NumericalError)
                          and sol.converged)
-        return results
+        return results, leads
 
     monkeypatch.setattr(gare, "_solve_stack", counted)
     checks = _count_checks(monkeypatch)

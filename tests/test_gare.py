@@ -278,7 +278,8 @@ def test_stacked_members_match_the_per_step_loop():
         systems, noises, costs = zip(*plants)
         for blowup in (1e12, 1e300):
             opts = GareOptions(blowup=blowup, max_iter=1000)
-            stack = gare._solve_stack(systems, noises, costs[0], opts)
+            stack, _ = gare._solve_stack(systems, noises, costs[0],
+                                         opts)
             assert len(stack) == len(plants)
             for plant, got in zip(plants, stack):
                 statuses.add(assert_matches_stepwise(*plant, opts, got))
@@ -297,7 +298,7 @@ def test_a_member_that_fails_its_pivot_leaves_the_others_alone():
     noises = [NoiseModel(), NoiseModel(), NoiseModel(),
               NoiseModel(a_dirs=[(np.eye(1), 0.999)])]
     opts = GareOptions(max_iter=300)
-    stack = gare._solve_stack(systems, noises, costs, opts)
+    stack, _ = gare._solve_stack(systems, noises, costs, opts)
     assert isinstance(stack[1], NumericalError)
     assert "not positive definite" in str(stack[1])
     with pytest.raises(NumericalError):
@@ -360,8 +361,8 @@ def test_a_negative_pivot_mid_block_is_a_numerical_error(monkeypatch):
         solve_gare(failing, NoiseModel(), costs, opts)
     converging, _ = scalar_problem(a=0.5)
     diverging, _ = scalar_problem(a=3.0, b=0.0)
-    stack = gare._solve_stack([converging, failing, diverging],
-                              [NoiseModel()] * 3, costs, opts)
+    stack, _ = gare._solve_stack([converging, failing, diverging],
+                                 [NoiseModel()] * 3, costs, opts)
     assert isinstance(stack[1], NumericalError)
     assert assert_matches_stepwise(converging, NoiseModel(), costs, opts,
                                    stack[0]) == "converged"
@@ -512,3 +513,59 @@ def test_gain_with_input_noise_matches_direct_formula():
         K = -la.solve(G, B.T @ P @ A)
         np.testing.assert_allclose(sol.K, K, rtol=1e-10,
                                    atol=1e-12 * la.norm(K))
+
+
+def _same_solution(got, want):
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for a, b in ((got.P, want.P), (got.K, want.K)):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_stacked_leads_follow_each_members_stop():
+    # one member per way to stop, stacked: the capped member's lead is the
+    # log of its stopping ratio at max_iter, which failed, and the converged
+    # member's is finite (its sign is not a property of the theory); the
+    # others carry none, and every result is solve_gare's alone
+    costs = CostPair(Q=[[1.0]], R=np.eye(2))
+    opts = GareOptions(blowup=1e100, max_iter=300)
+    systems = [NominalSystem(A=[[0.5]], B=[[1.0, 0.5]]),
+               NominalSystem(A=[[1.0]], B=[[1.0, 0.0]]),
+               NominalSystem(A=[[1e60]], B=[[0.0, 0.0]]),
+               NominalSystem(A=[[1e120]], B=[[0.0, 0.0]]),
+               NominalSystem(A=[[1.0]], B=[[1e9, 1e9]])]
+    noises = [NoiseModel(), NoiseModel(a_dirs=[(np.eye(1), 0.999)]),
+              NoiseModel(), NoiseModel(), NoiseModel()]
+    results, leads = gare._solve_stack(systems, noises, costs, opts)
+    for sys, noise, got in zip(systems[:4], noises, results):
+        _same_solution(got, solve_gare(sys, noise, costs, opts))
+    assert [sol.status for sol in results[:4]] == [
+        "converged", "iteration_cap", "blowup", "non_finite"]
+    assert isinstance(results[4], NumericalError)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        solve_gare(systems[4], noises[4], costs, opts)
+    assert math.isfinite(leads[0])
+    assert leads[2:] == [None, None, None]
+    P_prev = P = costs.Q
+    for _ in range(opts.max_iter):
+        P_prev, P = P, direct_value_step(P, systems[1], noises[1], costs)
+    ratio = la.norm(P - P_prev) / (opts.tol_abs + opts.tol_rel * la.norm(P))
+    assert leads[1] == pytest.approx(math.log(ratio), rel=1e-9)
+    assert leads[1] > 0.0
+    # the probes' verdicts carry the leads
+    verdicts = gare._probe_stack(systems, noises, costs, opts)
+    assert [v.lead for v in verdicts] == leads
+
+
+def test_a_zero_tolerance_gives_no_lead():
+    # with tol_abs = tol_rel = 0 the stopping ratio has a zero denominator:
+    # A = 0 reaches its fixed point Q exactly at iterate 1, and the other
+    # member runs to the cap
+    costs = CostPair(Q=[[1.0]], R=[[1.0]])
+    opts = GareOptions(tol_abs=0.0, tol_rel=0.0, max_iter=50)
+    systems = [NominalSystem(A=[[0.0]], B=[[1.0]]),
+               NominalSystem(A=[[0.99]], B=[[0.01]])]
+    results, leads = gare._solve_stack(systems, [NoiseModel()] * 2, costs,
+                                       opts)
+    assert [(sol.status, sol.iterations) for sol in results] == [
+        ("converged", 1), ("iteration_cap", 50)]
+    assert leads == [None, None]

@@ -1,4 +1,5 @@
 import inspect
+import logging
 import math
 from functools import partial
 
@@ -43,6 +44,7 @@ from conftest import (
     nlmi_bracket,
     perturbed_matrix,
     random_mss_instance,
+    sequential_bisect,
 )
 
 ONE = np.array([[1.0]])
@@ -593,6 +595,64 @@ def test_bisect_max_feasible_asks_for_three_levels_at_once():
     assert calls[0] == (0.0, 1.0, 2.0, 4.0)
     assert sorted(calls[1]) == [1.125, 1.25, 1.375, 1.5, 1.625, 1.75, 1.875]
     assert min(calls[2]) > 1.625 and max(calls[2]) < 1.75
+
+
+def _leading(verdict, lead):
+    """``verdict`` carrying ``lead`` as the stacked Riccati probes do."""
+    verdict.lead = lead
+    return verdict
+
+
+def _threshold_with_leads(threshold, calls):
+    """Verdicts y <= threshold whose leads are y - threshold, sound and
+    linear, recording every call."""
+    def feasible(ys):
+        calls.append(ys)
+        return [_leading(partial(float.__le__, y, threshold), y - threshold)
+                for y in ys]
+    return feasible
+
+
+def test_bisect_max_feasible_asks_for_the_path_to_the_crossing():
+    # the growth ask (0, 1, 2, 4) leaves the bracket [1, 2] with leads
+    # -0.7 at 1 and 0.3 at 2, which cross 0 at 1.7: the next ask is every
+    # midpoint the walk probes on its way there, and it is the last
+    calls = []
+    y, cap_hit, witness = bisect_max_feasible(
+        _threshold_with_leads(1.7, calls))
+    walk = []
+    assert sequential_bisect(lambda y: walk.append(y) or y <= 1.7) == (
+        y, cap_hit, witness)
+    assert calls[0] == (0.0, 1.0, 2.0, 4.0)
+    assert walk[:3] == [0.0, 1.0, 2.0]
+    assert calls[1] == tuple(walk[3:])
+    assert len(calls) == 2
+
+
+def test_bisect_max_feasible_logs_each_ask_and_its_summary(caplog,
+                                                          monkeypatch):
+    calls = []
+    with caplog.at_level(logging.DEBUG, logger="multinoise"):
+        y, _, _ = bisect_max_feasible(_threshold_with_leads(1.7, calls))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "multinoise.margins"]
+    assert len(lines) == len(calls) + 1
+    assert lines[0].startswith("bisection ask: growth, bracket [0.0, 0.0], "
+                               "crossing None, 4 points (0.0, 1.0, 2.0, 4.0)")
+    assert lines[1].startswith("bisection ask: path, bracket [1.0, 2.0], "
+                               f"crossing {1.7!r}, {len(calls[1])} points")
+    # the walk reads 0, 1 and 2 of the growth ask, then the whole path
+    assert lines[2] == (f"bisection end: y {y!r}, cap_hit False, 2 asks, "
+                        f"{4 + len(calls[1])} points asked, "
+                        f"{3 + len(calls[1])} verdicts read")
+    # with DEBUG off, the logger is not even called
+    def unguarded(*args):
+        raise AssertionError("logged with DEBUG off")
+
+    monkeypatch.setattr(margins_mod._log, "debug", unguarded)
+    with caplog.at_level(logging.INFO, logger="multinoise"):
+        assert bisect_max_feasible(_threshold_with_leads(1.7, [])) == (
+            y, False, True)
 
 
 def test_bisect_max_feasible_raises_a_failed_probe_it_reads():

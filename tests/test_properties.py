@@ -233,12 +233,24 @@ THRESHOLDS = st.one_of(
 )
 
 
+#: what a verdict's lead can be, relative to the sound lead y - threshold
+#: that changes sign at the frontier: absent, None, not finite, sound,
+#: sound but steeper or shallower, of the wrong sign, or arbitrary
+LEADS = st.sampled_from(["absent", None, math.nan, math.inf, -math.inf,
+                         "sound", "scaled", "wrong", "arbitrary"])
+
+
 @PROPERTY
-@given(THRESHOLDS, st.sampled_from([0.0, 1e-6, 0.25]))
-def test_bisection_reads_the_sequential_probes(threshold, rel_tol):
+@given(THRESHOLDS, st.sampled_from([0.0, 1e-6, 0.25]),
+       st.lists(LEADS, min_size=1, max_size=4), st.randoms())
+def test_bisection_reads_the_sequential_probes(threshold, rel_tol, kinds,
+                                               rng):
     # each verdict records when the walk calls it and returns a witness of
     # its own, and every point the one-at-a-time oracle never probes
-    # answers with a verdict that fails the test if the walk calls it
+    # answers with a verdict that fails the test if the walk calls it. Each
+    # point's lead is drawn from the kinds, so one bracket may hold sound,
+    # contradictory and missing leads: they choose what is asked for, and
+    # never what is read
     probes = []
 
     def scalar(y):
@@ -255,8 +267,21 @@ def test_bisection_reads_the_sequential_probes(threshold, rel_tol):
     def unread(y):
         raise AssertionError(f"read the unprobed point {y!r}")
 
+    def lead(y, kind):
+        sound = y - threshold
+        return {"sound": sound, "scaled": rng.uniform(1e-3, 1e3) * sound,
+                "wrong": -sound,
+                "arbitrary": rng.uniform(-1e3, 1e3)}.get(kind, kind)
+
     def feasible(ys):
-        return [partial(verdict if y in probes else unread, y) for y in ys]
+        verdicts = []
+        for y in ys:
+            v = partial(verdict if y in probes else unread, y)
+            kind = rng.choice(kinds)
+            if kind != "absent":
+                v.lead = lead(y, kind)
+            verdicts.append(v)
+        return verdicts
 
     y, cap_hit, witness = bisect_max_feasible(feasible,
                                               BisectOptions(rel_tol))
