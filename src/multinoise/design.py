@@ -12,7 +12,10 @@ midpoint: near the feasibility boundary the value matrix blows up, and a
 returned gain must correspond to a certified parameter. Both designs take
 their certificates from the builders in :mod:`multinoise.margins` that the
 margin methods use: the shared-Lyapunov box on the Riccati P for the first,
-the auxiliary-system box for the second.
+the auxiliary-system box for the second. The second's P solves the GLE of
+the auxiliary closed loop built from the same matrices whose mean-square
+verdict the bisection read at y*, so the certificate rests on that verdict
+bit for bit.
 
 Each bisection asks for the points of its next few steps at once, and
 their Riccati probes run as one stacked value iteration that returns one
@@ -272,14 +275,16 @@ def design_algorithm_2(
     base = _checked_structure(a_dir_mats, b_dir_mats, structure)
     w, p = structure.weights, structure.p
 
+    def member(y: float) -> tuple[NominalSystem, NoiseModel]:
+        # the auxiliary plant and noise whose Riccati probe decides y
+        z, var = _aux_scaling(y, w)
+        return (NominalSystem(A=z * sys.A, B=z * sys.B),
+                base.with_variances(var[:p], var[p:]))
+
     def feasible_y(
         ys: tuple[float, ...],
     ) -> list[Callable[[], GareSolution | None]]:
-        systems, noises = [], []
-        for y in ys:
-            z, var = _aux_scaling(y, w)
-            systems.append(NominalSystem(A=z * sys.A, B=z * sys.B))
-            noises.append(base.with_variances(var[:p], var[p:]))
+        systems, noises = zip(*map(member, ys))
         return _probe_stack(systems, noises, costs, opts.gare)
 
     # the bisection probes y = 0 first; no witness means none at 0
@@ -290,9 +295,12 @@ def design_algorithm_2(
         )
     K = sol.K
     # the steady-state solution of the auxiliary closed loop is the
-    # quadratic form that certifies every sign corner of the box at once
+    # quadratic form that certifies every sign corner of the box at once;
+    # it is solved on the loop whose verdict the bisection read at y*
+    cert = _aux_certificate(
+        *closed_loop_substitution(*member(y_star), K), structure, y_star,
+        y_cap)
     A_cl, dirs = closed_loop_substitution(sys, base, K)
-    cert = _aux_certificate(A_cl, dirs, structure, y_star, y_cap)
     return DesignResult(
         K=K,
         certificate=cert,

@@ -28,7 +28,7 @@ import numpy.linalg as la
 
 from .errors import DimensionError, NotMeanSquareStableError
 from .matops import (_gen_eig_max, _psd_split_stack, is_psd, pos_part,
-                     spectral_radius, symmetrize)
+                     symmetrize)
 from .model import (DirList, PerturbationBox, UncertaintyStructure,
                     _check_options)
 from .stability import _mss_holds, _svec_lift, solve_gle
@@ -283,8 +283,9 @@ def _confirmed_edge(pencil, holds,
                     cap: float = BRACKET_CAP) -> tuple[float, bool]:
     """Least y > 0 (at most cap) at which L - y R1 - y^2 R0 turns singular,
     for the pencil (L, R1, R0): 1/mu backed off by a relative 1e-9, tenfold
-    further while the method's check ``holds(y)`` fails, else 0, which
-    nominal stability proves; ``cap_hit``: the check passes at the cap."""
+    further while the method's check ``holds(y)`` fails, else 0, which the
+    caller's own solve at 0 proves or refutes; ``cap_hit``: the check
+    passes at the cap."""
     mu = _pencil_root(*pencil)
     edge = cap if mu * cap <= 1.0 else 1.0 / mu  # mu <= 0: no root
     if edge == cap and holds(cap):
@@ -407,12 +408,19 @@ def nlmi_feasible(
     return _margin_probe(A_cl, dirs, Q_eff, P, eta, bidirectional)[1](1.0)
 
 
-def _check_q_eff(Q_eff, n: int) -> np.ndarray:
+def _check_q_eff(Q_eff, n: int, definite: bool = True) -> np.ndarray:
+    """Q_eff, symmetrized, or I when it is None. A Q_eff that is not n x n
+    raises DimensionError, and one that is not positive definite (not
+    positive semidefinite, unless ``definite``) raises ValueError: an input
+    fault, not a numerical one in the P solved from it."""
     if Q_eff is None:
         return np.eye(n)
     Q_eff = symmetrize(Q_eff)
     if Q_eff.shape != (n, n):
         raise DimensionError(f"Q_eff must be {n}x{n}, got {Q_eff.shape}")
+    if not (la.eigvalsh(Q_eff)[0] > 0.0 if definite else is_psd(Q_eff)):
+        raise ValueError("Q_eff must be positive "
+                         + ("definite" if definite else "semidefinite"))
     return Q_eff
 
 
@@ -420,18 +428,6 @@ def _split_box(bounds: np.ndarray, p: int, bidirectional: bool) -> PerturbationB
     return PerturbationBox(
         eta=bounds[:p], psi=bounds[p:], bidirectional=bidirectional
     )
-
-
-def _stable_gle(A_cl, dirs: DirList, Q) -> np.ndarray:
-    """The steady-state GLE solution P; NotMeanSquareStableError if the
-    instance is not mean-square stable."""
-    sol = solve_gle(A_cl, dirs, Q)
-    if not sol.mss:
-        raise NotMeanSquareStableError(
-            f"instance is not mean-square stable "
-            f"(moment radius {sol.moment_radius:.6g})"
-        )
-    return sol.P
 
 
 def _shared_certificate(A_cl, dirs: DirList, q_term, P, structure,
@@ -459,20 +455,18 @@ def _aux_scaling(y: float, w) -> tuple[float, np.ndarray]:
     return math.sqrt(1.0 + s), eta * (1.0 + s)
 
 
-def _aux_certificate(A_cl, dirs: DirList, structure, y: float,
+def _aux_certificate(A_aux, dirs_aux: DirList, structure, y: float,
                      cap_hit: bool) -> MarginCertificate:
-    """Certificate of the two-sided box y * weights whose P solves the GLE
-    of the auxiliary closed loop at y, with constant term I. The variances
-    stored in ``dirs`` are not read."""
-    w = structure.weights
-    z, var = _aux_scaling(y, w)
-    aux = solve_gle(z * A_cl, list(zip(_dir_mats(dirs), var)),
-                    np.eye(len(A_cl)))
+    """Certificate of the two-sided box y * weights whose P solves the GLE,
+    with constant term I, of the auxiliary closed loop (A_aux, dirs_aux) at
+    y: the very matrices whose mean-square verdict the caller read, so the
+    solve's own verdict is that one. NotMeanSquareStableError if the loop
+    is not mean-square stable."""
     return MarginCertificate(
-        box=_split_box(y * w, structure.p, True),
+        box=_split_box(y * structure.weights, structure.p, True),
         method=MarginMethod.AUX_SCALED,
         y_star=y,
-        P=aux.P,
+        P=solve_gle(A_aux, dirs_aux, np.eye(len(A_aux))).P,
         cap_hit=cap_hit,
     )
 
@@ -503,7 +497,7 @@ def shared_lyapunov_margins(
         raise ValueError("Q_eff must dominate the identity (Q_eff >= I)")
     q_term = len(dirs) * Q_eff
     return _shared_certificate(
-        A_cl, dirs, q_term, _stable_gle(A_cl, dirs, q_term), structure,
+        A_cl, dirs, q_term, solve_gle(A_cl, dirs, q_term).P, structure,
         bidirectional)
 
 
@@ -524,16 +518,18 @@ def single_direction_margin(
     with zeta. The margin is one-sided and never exceeds sqrt(alpha1).
     zeta is (alpha1 t - 1/t) / 2 at the largest root t of the pencil
     t^2 (Q_eff + alpha1 S) - t C - S, with S = A1'P A1 and C the positive
-    part of A_cl'P A1 + A1'P A_cl; inf if there is none.
+    part of A_cl'P A1 + A1'P A_cl; inf if there is none. Q_eff (default I)
+    must be positive semidefinite: a singular one can still give a definite
+    P, though it may leave no finite zeta, and the margin is then 0.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     A1 = np.asarray(A1, dtype=float)
     alpha1 = float(alpha1)
     n = A_cl.shape[0]
-    Q_eff = _check_q_eff(Q_eff, n)
+    Q_eff = _check_q_eff(Q_eff, n, definite=False)
     if alpha1 < 0:
         raise ValueError("alpha1 must be nonnegative")
-    P = _stable_gle(A_cl, [(A1, alpha1)], Q_eff)
+    P = solve_gle(A_cl, [(A1, alpha1)], Q_eff).P
     if alpha1 == 0.0:  # the margin collapses with the variance
         return 0.0, 0.0
     DPD = A1.T @ P @ A1
@@ -625,7 +621,8 @@ def conservative_margins(
     the envelope itself is the certified (one-sided) margin. With several,
     margins proportional to the envelopes are scaled to the edge of the
     joint matrix inequality, capped at the envelopes, which keeps every
-    margin at or below its single-direction bound.
+    margin at or below its single-direction bound. Q_eff (default I) must
+    be positive definite.
     """
     if kind not in (MarginMethod.CONS_LINEARIZED, MarginMethod.CONS_SIMPLE):
         raise ValueError(f"not a conservative method: {kind}")
@@ -638,7 +635,7 @@ def conservative_margins(
     if n_state_dirs is None:
         n_state_dirs = count
     q_term = count * Q_eff
-    P = _stable_gle(A_cl, dirs, q_term)
+    P = solve_gle(A_cl, dirs, q_term).P
     zetas = np.zeros(count)
     caps = np.zeros(count)
     live = [k for k, (_, a) in enumerate(dirs) if a > 0.0]
@@ -730,9 +727,13 @@ def aux_system_margins(
     stability of that system certifies |mu_k| < eta_k. Its moment operator
     T(y) = (1 + y)(M0 + y M1), M0 the lift of A_cl and M1 the weighted lift
     of the directions, is a positive map growing in y, so I - T(y) first
-    turns singular at the edge of the pencil (I - M0, M0 + M1, M1). A
-    nominal loop that is not Schur stable certifies no box and raises
-    :class:`NotMeanSquareStableError`, as the other methods do.
+    turns singular at the edge of the pencil (I - M0, M0 + M1, M1). The
+    certificate's P solves the GLE of the auxiliary loop whose check the
+    edge read. At y = 0 that loop is the nominal one without noise, and
+    since T(y) - M0 is a positive map no y > 0 passes when it fails: a
+    nominal loop that is not Schur stable certifies no box, and the
+    certificate's solve at 0 raises :class:`NotMeanSquareStableError`
+    naming the moment radius rho(A_cl)^2, as the other methods do.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     if len(dirs) != structure.p + structure.q:
@@ -740,21 +741,16 @@ def aux_system_margins(
     w = structure.weights
     mats = _dir_mats(dirs)
 
-    def holds(y: float) -> bool:
+    def aux_loop(y: float) -> tuple[np.ndarray, DirList]:
         z, var = _aux_scaling(y, w)
-        return _mss_holds(z * A_cl, list(zip(mats, var)))
+        return z * A_cl, list(zip(mats, var))
 
-    if not holds(0.0):
-        # at y = 0 the auxiliary system is the nominal loop itself
-        raise NotMeanSquareStableError(
-            f"nominal loop is not stable "
-            f"(spectral radius {spectral_radius(A_cl):.6g})"
-        )
     M0 = _svec_lift(A_cl, [])
     M1 = sum(wk * _svec_lift(D, []) for D, wk in zip(mats, w) if wk)
     y_star, cap_hit = _confirmed_edge(
-        (np.eye(len(M0)) - M0, M0 + M1, M1), holds)
-    return _aux_certificate(A_cl, dirs, structure, y_star, cap_hit)
+        (np.eye(len(M0)) - M0, M0 + M1, M1),
+        lambda y: _mss_holds(*aux_loop(y)))
+    return _aux_certificate(*aux_loop(y_star), structure, y_star, cap_hit)
 
 
 def compute_margins(

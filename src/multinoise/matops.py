@@ -114,18 +114,17 @@ def is_psd(S, tol: float | None = None) -> bool:
     return bool(w[0] >= -tol)
 
 
-def _gen_eig_max(lhs, rhs):
-    """Maximum generalized eigenvalue ``lam`` of ``lhs v = lam rhs v`` for a
-    symmetric pair with ``rhs`` positive definite, or for each pair of a
-    stack.
+def _gen_eig_max(lhs, rhs) -> np.ndarray:
+    """Maximum generalized eigenvalue ``lam`` of ``lhs v = lam rhs v`` for
+    each symmetric pair of a stack, with ``rhs`` positive definite.
 
-    ``lhs`` is (n, n) or a (k, n, n) stack, and ``rhs`` is the same or one
-    (n, n) matrix shared by the whole stack; the result is a float, or a (k,)
-    array. Solved by Cholesky whitening: factor rhs = L L^T and take the
-    largest eigenvalue of L^-1 lhs L^-T, which makes ``lam * rhs - lhs``
-    positive semidefinite and tight. Each step is one call on the whole
-    stack, and each slice is computed as if it were solved alone. A
-    singular ``rhs`` would push the result to infinity, so it is rejected.
+    ``lhs`` is a (k, n, n) stack, and ``rhs`` is the same or one (n, n)
+    matrix shared by the whole stack; the result is a (k,) array. Solved by
+    Cholesky whitening: factor rhs = L L^T and take the largest eigenvalue
+    of L^-1 lhs L^-T, which makes ``lam * rhs - lhs`` positive semidefinite
+    and tight. Each step is one call on the whole stack, and each slice is
+    computed as if it were solved alone. A singular ``rhs`` would push the
+    result to infinity, so it is rejected.
     """
     lhs = _sym(np.asarray(lhs, dtype=float))
     rhs = _sym(np.asarray(rhs, dtype=float))
@@ -142,5 +141,4 @@ def _gen_eig_max(lhs, rhs):
     L = la.cholesky(rhs)
     Y = la.solve(L, lhs)
     Y = la.solve(L, Y.swapaxes(-1, -2)).swapaxes(-1, -2)
-    lam = la.eigvalsh(_sym(Y))[..., -1]
-    return lam if lam.ndim else float(lam)
+    return la.eigvalsh(_sym(Y))[..., -1]

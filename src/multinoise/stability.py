@@ -21,7 +21,8 @@ Two exact facts make that decision cheap:
 
 The verdict thus costs one O(N^3) LU and an n x n Cholesky factorization,
 with no eigensolver, and the steady-state quadratic (generalized Lyapunov)
-equation is one more LU solve on the same lift. :func:`is_mean_square_stable`
+equation is one more LU solve on the same lift, made only once the verdict
+passes: :func:`solve_gle` returns a P or raises. :func:`is_mean_square_stable`
 reports the eigenvalue radius of this lift too, and the value iteration of
 :mod:`multinoise.gare` runs on svec coordinates; :func:`moment_operator`,
 the n^2 x n^2 lift on vec coordinates, is only the reference for them.
@@ -29,13 +30,13 @@ the n^2 x n^2 lift on vec coordinates, is only the reference for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import numpy.linalg as la
 
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, NotMeanSquareStableError, NumericalError
 from .matops import spectral_radius, symmetrize
 from .model import DirList, _closed_loop_stack
 
@@ -56,19 +57,11 @@ class GleSolution:
     """Solution record of the steady-state quadratic equation
     P = Q + A_cl^T P A_cl + sum_i alpha_i D_i^T P D_i.
 
-    ``P`` is present (symmetric positive definite, small residual) exactly
-    when the instance is mean-square stable. ``moment_radius`` is the
-    spectral radius of the second-moment operator either way; it is
-    computed from the svec lift when first read.
+    ``P`` is symmetric positive definite with a small residual: a solve
+    that cannot certify one raises instead of returning.
     """
 
-    P: np.ndarray | None
-    mss: bool
-    _lift: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def moment_radius(self) -> float:
-        return spectral_radius(self._lift)
+    P: np.ndarray
 
 
 def _lifted_dirs(A_cl, dirs: DirList):
@@ -203,10 +196,12 @@ def is_mean_square_stable(A_cl, dirs: DirList) -> tuple[bool, float]:
 def solve_gle(A_cl, dirs: DirList, Q) -> GleSolution:
     """Solve the steady-state quadratic equation for P given Q > 0.
 
-    Returns ``mss=False`` with no P when the instance is not mean-square
-    stable by the LU verdict. On success P, one more LU solve on the same
-    svec lift, is checked for positive definiteness and a relative
-    fixed-point residual below 1e-8.
+    Raises :class:`NotMeanSquareStableError`, naming the eigenvalue radius
+    of the svec lift (nan if the lift is not finite), when the instance is
+    not mean-square stable by the LU verdict; the radius is computed only
+    then. Otherwise P, one more LU solve on the same svec lift, is checked
+    for positive definiteness and a relative fixed-point residual below
+    1e-8, and a failed check raises :class:`NumericalError`.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     Q = symmetrize(Q)
@@ -215,7 +210,11 @@ def solve_gle(A_cl, dirs: DirList, Q) -> GleSolution:
         raise DimensionError(f"Q has shape {Q.shape}, A_cl has {A_cl.shape}")
     S = _svec_lift(A_cl, dirs)
     if not _lift_verdict(S, n):
-        return GleSolution(P=None, mss=False, _lift=S)
+        # a lift with a non-finite entry has no radius to report
+        radius = spectral_radius(S) if np.isfinite(S).all() else np.nan
+        raise NotMeanSquareStableError(
+            f"instance is not mean-square stable (moment radius {radius:.6g})"
+        )
     R, C, _ = _svec_maps(n)
     try:
         P = _unsvec(la.solve(_shifted(S, 1.0), Q[R, C]), n)
@@ -233,4 +232,4 @@ def solve_gle(A_cl, dirs: DirList, Q) -> GleSolution:
         )
     if la.eigvalsh(P)[0] <= 0:
         raise NumericalError("solution P is not positive definite")
-    return GleSolution(P=P, mss=True, _lift=S)
+    return GleSolution(P=P)

@@ -23,6 +23,7 @@ from multinoise import (
     design_algorithm_2,
     grid_verify,
     nlmi_feasible,
+    solve_gle,
 )
 from multinoise import gare
 from multinoise.design import _grid_samples
@@ -360,6 +361,24 @@ def test_algorithm_2_certificate_reproves_from_its_own_data(design_instances):
         assert la.norm(residual) <= 1e-8 * la.norm(P)
         assert _mss_holds(A_aux, aux_dirs)
         assert res.z_star == pytest.approx(math.sqrt(scale), rel=1e-12)
+
+
+def test_algorithm_2_certificate_is_solved_on_the_loop_its_bisection_read(
+        design_instances):
+    # the probe member at y*, closed with the returned gain, is the loop
+    # whose verdict the bisection read; the stored P is its GLE solution
+    # bit for bit, so the certificate rests on that verdict
+    for (sys, a_mats, b_mats, st), _, res in design_instances:
+        z, var = _aux_scaling(res.y_star, st.weights)
+        base = NoiseModel(a_dirs=[(D, 0.0) for D in a_mats],
+                          b_dirs=[(D, 0.0) for D in b_mats])
+        member = (NominalSystem(A=z * sys.A, B=z * sys.B),
+                  base.with_variances(var[:st.p], var[st.p:]))
+        A_aux, aux_dirs = closed_loop_substitution(*member, res.K)
+        assert _mss_holds(A_aux, aux_dirs)
+        P = solve_gle(A_aux, aux_dirs, np.eye(sys.n)).P
+        assert P.tobytes() == res.certificate.P.tobytes()
+        assert res.z_star == z
 
 
 def test_diagnostic_grid_budget_per_direction_count():

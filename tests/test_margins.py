@@ -256,6 +256,36 @@ def test_single_direction_without_finite_zeta_returns_zero_margin(
     assert eta == 0.0 and zeta == math.inf
 
 
+#: a mean-square stable loop on which the GLE has no definite solution for
+#: Q_eff = 0 or for the indefinite Q_eff below: the input is at fault
+Q_EFF_LOOP = (np.array([[0.5, 0.1], [0.0, 0.4]]), [(np.eye(2), 0.05)])
+INDEFINITE = np.diag([1.0, -1.0])
+
+
+def test_single_direction_rejects_an_indefinite_q_eff():
+    A_cl, ((D, alpha),) = Q_EFF_LOOP
+    with pytest.raises(ValueError, match="Q_eff must be positive semidef"):
+        single_direction_margin(A_cl, D, alpha, INDEFINITE)
+
+
+def test_conservative_margins_reject_a_q_eff_that_is_not_definite():
+    A_cl, dirs = Q_EFF_LOOP
+    for Q_eff in (np.zeros((2, 2)), INDEFINITE):
+        for kind in (MarginMethod.CONS_LINEARIZED, MarginMethod.CONS_SIMPLE):
+            with pytest.raises(ValueError,
+                               match="Q_eff must be positive definite"):
+                conservative_margins(A_cl, dirs, Q_eff, kind)
+
+
+def test_compute_margins_rejects_an_indefinite_q_eff():
+    A_cl, dirs = Q_EFF_LOOP
+    for method in ("shared-uni", "shared-bi", "cons-lin", "cons-simple"):
+        with pytest.raises(ValueError,
+                           match="Q_eff must be positive definite"):
+            compute_margins(method, A_cl, dirs, single_structure(),
+                            INDEFINITE)
+
+
 def test_single_direction_requires_mss():
     with pytest.raises(NotMeanSquareStableError):
         single_direction_margin(0.9 * ONE, ONE, 0.5, ONE)
@@ -426,7 +456,7 @@ def test_aux_margins_certify_all_sign_corners():
 
 def test_aux_margins_unstable_plant_raises():
     # an unstable nominal loop certifies no box, as for the other methods
-    with pytest.raises(NotMeanSquareStableError, match="spectral radius 1.5"):
+    with pytest.raises(NotMeanSquareStableError, match="moment radius 2.25"):
         aux_system_margins(1.5 * ONE, [(ONE, 0.2)], single_structure())
 
 
@@ -857,7 +887,7 @@ def test_root_overshoot_is_backed_off_until_confirmed(monkeypatch):
         structure = UncertaintyStructure(theta=[1.0] * len(dirs))
         mss_checks.clear()
         cert = aux_system_margins(A_cl, dirs, structure)
-        assert len(mss_checks) > 2  # nominal, then more than one probe
+        assert len(mss_checks) > 2  # the overshoot fails, then a back-off
         assert cert.y_star > 0.0 and not cert.cap_hit
         assert _aux_mss_at(A_cl, dirs, cert.box.bounds)
 

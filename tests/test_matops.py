@@ -79,8 +79,8 @@ def test_is_psd_examples():
 
 
 def test_gen_eig_max_examples():
-    assert gen_eig_max(np.diag([2.0, 1.0]), np.eye(2)) == pytest.approx(2.0)
-    assert gen_eig_max(np.diag([2.0, 3.0]), np.diag([2.0, 1.0])) == pytest.approx(3.0)
+    assert gen_eig_max(np.diag([2.0, 1.0])[None], np.eye(2))[0] == pytest.approx(2.0)
+    assert gen_eig_max(np.diag([2.0, 3.0])[None], np.diag([2.0, 1.0]))[0] == pytest.approx(3.0)
 
 
 def test_gen_eig_max_tightness_and_oracle():
@@ -89,7 +89,7 @@ def test_gen_eig_max_tightness_and_oracle():
         X = rng.normal(size=(4, 4))
         rhs = X @ X.T + 0.5 * np.eye(4)
         lhs = symmetrize(rng.normal(size=(4, 4)))
-        lam = gen_eig_max(lhs, rhs)
+        lam = gen_eig_max(lhs[None], rhs)[0]
         # dense generalized eigensolver as the independent oracle
         lam_ref = float(np.max(scipy.linalg.eigh(lhs, rhs, eigvals_only=True)))
         assert lam == pytest.approx(lam_ref, rel=1e-9, abs=1e-11)
@@ -103,7 +103,7 @@ def test_gen_eig_max_tightness_and_oracle():
 
 def test_gen_eig_max_singular_rhs():
     with pytest.raises(SingularPencilError):
-        gen_eig_max(np.eye(2), np.diag([1.0, 0.0]))
+        gen_eig_max(np.eye(2)[None], np.diag([1.0, 0.0]))
 
 
 def test_kron_vec_identity():

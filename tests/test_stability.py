@@ -4,6 +4,7 @@ import pytest
 
 from multinoise import (
     DimensionError,
+    NotMeanSquareStableError,
     closed_loop_substitution,
     is_mean_square_stable,
     is_psd,
@@ -12,7 +13,6 @@ from multinoise import (
     spectral_radius,
     symmetrize,
 )
-from multinoise import stability
 from multinoise.stability import (
     MSS_MARGIN, _mss_holds, _svec_lift, _svec_map_lift,
 )
@@ -70,7 +70,6 @@ def test_is_mean_square_stable_scalar_cases():
 
 def test_solve_gle_scalar_closed_form():
     sol = solve_gle(np.array([[0.5]]), [(np.array([[1.0]]), 0.25)], np.eye(1))
-    assert sol.mss
     assert sol.P[0, 0] == pytest.approx(1.0 / (1.0 - 0.5))
 
 
@@ -86,7 +85,6 @@ def test_solve_gle_random_residual_and_oracle():
         A_cl, dirs = random_mss_instance(rng, 3, 2, rng.uniform(0.3, 0.9))
         Q = np.eye(3)
         sol = solve_gle(A_cl, dirs, Q)
-        assert sol.mss
         T = Q + A_cl.T @ sol.P @ A_cl
         for D, a in dirs:
             T = T + a * (D.T @ sol.P @ D)
@@ -96,10 +94,10 @@ def test_solve_gle_random_residual_and_oracle():
         assert la.norm(sol.P - P_ref, "fro") <= 1e-6 * la.norm(P_ref, "fro")
 
 
-def test_solve_gle_not_mss_returns_flag():
-    sol = solve_gle(np.array([[0.9]]), [(np.array([[1.0]]), 0.2)], np.eye(1))
-    assert not sol.mss and sol.P is None
-    assert sol.moment_radius == pytest.approx(1.01)
+def test_solve_gle_not_mss_raises_with_the_radius():
+    with pytest.raises(NotMeanSquareStableError,
+                       match=r"moment radius 1\.01\)"):
+        solve_gle(np.array([[0.9]]), [(np.array([[1.0]]), 0.2)], np.eye(1))
 
 
 def test_check_det_stability_examples():
@@ -110,7 +108,7 @@ def test_check_det_stability_examples():
     A_cl, dirs = 0.5 * one, [(one, 0.25)]
     assert is_mean_square_stable(A_cl, dirs)[0]
     assert spectral_radius(A_cl) < 1.0
-    assert solve_gle(A_cl, dirs, np.eye(1)).mss
+    solve_gle(A_cl, dirs, np.eye(1))  # raises unless mean-square stable
 
 
 def test_mss_implies_deterministic_stability():
@@ -121,7 +119,7 @@ def test_mss_implies_deterministic_stability():
         A_cl, dirs = random_mss_instance(rng, n, p, rng.uniform(0.2, 0.999))
         assert is_mean_square_stable(A_cl, dirs)[0]
         assert spectral_radius(A_cl) < 1.0
-        assert solve_gle(A_cl, dirs, np.eye(n)).mss
+        solve_gle(A_cl, dirs, np.eye(n))  # raises unless mean-square stable
 
 
 def test_gle_equivalence_straddling_radius_one():
@@ -239,21 +237,24 @@ def test_lu_verdict_agrees_with_radius_verdict_outside_band(n, count):
             mss, radius = is_mean_square_stable(A_cl, dirs)
             assert abs(radius - 1.0) > VERDICT_BAND
             assert _mss_holds(A_cl, dirs) == mss == (target < 1.0)
-            sol = solve_gle(A_cl, dirs, np.eye(n))
-            assert sol.mss == mss and (sol.P is None) == (not mss)
+            if mss:
+                solve_gle(A_cl, dirs, np.eye(n))
+            else:
+                with pytest.raises(NotMeanSquareStableError):
+                    solve_gle(A_cl, dirs, np.eye(n))
 
 
 def test_lu_verdict_unstable_at_radius_one_and_singular_factorization():
     eye2 = np.eye(2)
     # rho = 1 exactly: I - M is singular, the shifted factorization is not
     assert not _mss_holds(eye2, [])
-    sol = solve_gle(eye2, [], eye2)
-    assert not sol.mss and sol.P is None
-    assert sol.moment_radius == pytest.approx(1.0)
+    with pytest.raises(NotMeanSquareStableError, match=r"moment radius 1\)"):
+        solve_gle(eye2, [], eye2)
     # (1 - MSS_MARGIN) I - M is exactly zero: the LU itself is singular
     one, zero = np.eye(1), np.zeros((1, 1))
     assert not _mss_holds(zero, [(one, 1.0 - MSS_MARGIN)])
-    assert not solve_gle(zero, [(one, 1.0 - MSS_MARGIN)], one).mss
+    with pytest.raises(NotMeanSquareStableError):
+        solve_gle(zero, [(one, 1.0 - MSS_MARGIN)], one)
     # above one, I - M is nonsingular but its solution is not definite
     assert not _mss_holds(1.5 * eye2, [])
     assert _mss_holds(0.5 * eye2, [(eye2, 0.5)])
@@ -268,7 +269,9 @@ def test_lu_verdict_unstable_for_non_finite_entries(bad):
     for A, dirs in ((A_cl, []), (0.5 * eye2, [(D, 0.1)]),
                     (0.5 * eye2, [(eye2, abs(bad))])):
         assert not _mss_holds(A, dirs)
-        assert not solve_gle(A, dirs, eye2).mss
+        with pytest.raises(NotMeanSquareStableError,
+                           match=r"moment radius nan\)"):
+            solve_gle(A, dirs, eye2)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -301,18 +304,3 @@ def test_mismatched_direction_shapes_raise():
                 f(A_cl, dirs)
         with pytest.raises(DimensionError):
             solve_gle(A_cl, dirs, np.eye(A_cl.shape[0]))
-
-
-def test_gle_moment_radius_computed_when_first_read(monkeypatch):
-    calls = []
-    radius = stability.spectral_radius
-    monkeypatch.setattr(stability, "spectral_radius",
-                        lambda M: calls.append(1) or radius(M))
-    rng = np.random.default_rng(63)
-    A_cl, dirs = random_mss_instance(rng, 3, 2, 0.7)
-    calls.clear()
-    sol = solve_gle(A_cl, dirs, np.eye(3))
-    assert sol.mss and not calls
-    assert sol.moment_radius == pytest.approx(0.7, rel=1e-10)
-    assert sol.moment_radius == pytest.approx(0.7, rel=1e-10)
-    assert len(calls) == 1
